@@ -19,7 +19,10 @@ equivalence:
 
 ## Measure both engine pairs (propagation and encoder) on the 10k-event
 ## synthetic stream and write BENCH_propagation.json / BENCH_encoder.json
-## (the perf trajectory future PRs compare to).
+## (the perf trajectory future PRs compare to); also assert that adjacency
+## fold + sample_many per 200-event batch stays flat from a 30k- to a
+## 300k-event hub stream (<= FOLD_BENCH_RATIO_CEILING, 2x; record in the
+## untracked benchmarks/out/view_fold.json).
 bench:
 	$(PYTHON) -m pytest -q benchmarks/test_propagation_throughput.py \
 		benchmarks/test_encoder_throughput.py -s

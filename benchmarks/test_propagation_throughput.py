@@ -8,10 +8,26 @@ workload through both engines with the paper-default propagation settings
 that future PRs must not regress below.  The measured numbers are written to
 ``BENCH_propagation.json`` at the repo root so the perf trajectory is
 recorded alongside the code (see ``make bench``).
+
+A second guard pins what that engine stands on: maintaining the temporal
+adjacency index and sampling from it must cost the same per 200-event batch
+however long the stream already is.  It replays routing's graph side — fold
+the store prefix strictly older than the batch, then one ``sample_many`` over
+the batch's endpoints — on a hub stream at a base length and at 10x, and
+asserts the per-batch cost ratio stays under ``FOLD_RATIO_CEILING`` (2x;
+an index that rewrites itself on every fold grows linearly and fails).  Its
+record goes to the untracked ``benchmarks/out/`` only.
+
+Environment knobs::
+
+    FOLD_BENCH_EVENTS         base hub-stream length   (default 30_000)
+    FOLD_BENCH_SCALE          long/base multiplier     (default 10)
+    FOLD_BENCH_RATIO_CEILING  flatness guard           (default 2.0)
 """
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -21,6 +37,9 @@ import pytest
 from repro.core.mailbox import Mailbox
 from repro.core.propagator import MailPropagator
 from repro.graph.batching import EventBatch
+from repro.graph.neighbor_sampler import make_sampler
+from repro.scenarios import hub_nodes
+from repro.storage import GraphView
 
 from .harness import write_bench_record
 
@@ -33,7 +52,13 @@ BATCH_SIZE = 200
 # while still failing if the fast path ever degenerates to per-event work.
 MIN_SPEEDUP = 3.0
 
+FOLD_BASE_EVENTS = int(os.environ.get("FOLD_BENCH_EVENTS", 30_000))
+FOLD_SCALE = int(os.environ.get("FOLD_BENCH_SCALE", 10))
+FOLD_RATIO_CEILING = float(os.environ.get("FOLD_BENCH_RATIO_CEILING", 2.0))
+FOLD_REPS = 3  # min-of-reps absorbs scheduler noise
+
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_propagation.json"
+_FOLD_RESULT_PATH = Path(__file__).resolve().parent / "out" / "view_fold.json"
 
 
 def synthetic_batches(seed: int = 0):
@@ -96,4 +121,59 @@ def test_propagation_throughput(throughput):
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized engine is only {speedup:.2f}x the reference "
         f"(floor {MIN_SPEEDUP}x) — the fast path has regressed"
+    )
+
+
+def _fold_and_sample_ms_per_batch(num_events: int) -> float:
+    """Mean wall ms per batch of fold + ``sample_many`` over a hub stream."""
+    dataset = hub_nodes(num_events=num_events, num_nodes=num_events // 10,
+                        seed=0)[0]
+    store = dataset.to_event_store()
+    frontier = np.empty(2 * num_events, dtype=np.int64)
+    frontier[0::2] = store.src
+    frontier[1::2] = store.dst
+    frontier_times = np.repeat(store.timestamps, 2)
+    starts = range(0, num_events, BATCH_SIZE)
+    best = np.inf
+    for _ in range(FOLD_REPS):
+        # What a serving worker holds: a range view advanced, per batch, to
+        # the rows strictly older than the batch it is about to route.
+        view = GraphView(store, 0, 0)
+        sampler = make_sampler("recent", view, num_neighbors=10)
+        begin = time.perf_counter()
+        for lo in starts:
+            view.extend_to(lo)
+            window = slice(2 * lo, 2 * (lo + BATCH_SIZE))
+            sampler.sample_many(frontier[window], frontier_times[window])
+        best = min(best, time.perf_counter() - begin)
+    return best * 1e3 / len(starts)
+
+
+def test_fold_and_sample_cost_is_flat_in_stream_length():
+    _fold_and_sample_ms_per_batch(10 * BATCH_SIZE)  # warmup, discarded
+    long_ms = _fold_and_sample_ms_per_batch(FOLD_BASE_EVENTS * FOLD_SCALE)
+    base_ms = _fold_and_sample_ms_per_batch(FOLD_BASE_EVENTS)
+    ratio = long_ms / base_ms
+    record = {
+        "workload": {
+            "stream": "hub_nodes", "base_events": FOLD_BASE_EVENTS,
+            "long_events": FOLD_BASE_EVENTS * FOLD_SCALE, "scale": FOLD_SCALE,
+            "batch_size": BATCH_SIZE, "num_neighbors": 10, "reps": FOLD_REPS,
+        },
+        "base_ms_per_batch": round(base_ms, 4),
+        "long_ms_per_batch": round(long_ms, 4),
+        "per_batch_ratio": round(ratio, 4),
+        "ratio_ceiling": FOLD_RATIO_CEILING,
+    }
+    _FOLD_RESULT_PATH.parent.mkdir(exist_ok=True)
+    write_bench_record(_FOLD_RESULT_PATH, record)
+    print(f"\nfold + sample_many: {base_ms:.3f} ms/batch at "
+          f"{FOLD_BASE_EVENTS:,} events, {long_ms:.3f} ms/batch at "
+          f"{FOLD_BASE_EVENTS * FOLD_SCALE:,} (ratio {ratio:.2f}, ceiling "
+          f"{FOLD_RATIO_CEILING})")
+    assert ratio <= FOLD_RATIO_CEILING, (
+        f"fold + sample_many per batch grew {ratio:.2f}x from "
+        f"{FOLD_BASE_EVENTS:,} to {FOLD_BASE_EVENTS * FOLD_SCALE:,} events "
+        f"(ceiling {FOLD_RATIO_CEILING}x) — adjacency maintenance is no "
+        f"longer independent of stream length"
     )

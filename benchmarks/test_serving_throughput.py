@@ -9,7 +9,8 @@ the same model with propagation forced onto the critical path.  Both modes
 use a zero-cost storage model so the comparison is pure measured wall time.
 
 Asserted floor: the async runtime's p99 decision latency must beat the
-synchronous p99 on the same stream.  Results (latency percentiles, mailbox
+synchronous p99 on the same stream (per mode, the run with the median p99 of
+``REPS`` alternating runs, measured in a fresh subprocess).  Results (latency percentiles, mailbox
 staleness, backlog high-water mark) are written to ``BENCH_serving.json`` at
 the repo root so the perf trajectory is recorded alongside the code (see
 ``make bench-serving``).  ``SERVING_BENCH_EVENTS`` scales the stream
@@ -18,6 +19,7 @@ the repo root so the perf trajectory is recorded alongside the code (see
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 from pathlib import Path
@@ -34,12 +36,13 @@ NUM_EVENTS = int(os.environ.get("SERVING_BENCH_EVENTS", "10000"))
 BATCH_SIZE = 100
 NUM_WORKERS = 2
 MAX_BACKLOG = 4
+REPS = 3
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 
-@pytest.fixture(scope="module")
-def reports():
+def _measure(result_queue) -> None:
+    """Runs in a fresh subprocess; reports both modes' latency summaries."""
     dataset = bipartite_interaction_dataset(
         name="serving-bench", num_users=NUM_EVENTS // 8, num_items=NUM_EVENTS // 16,
         num_events=NUM_EVENTS, edge_feature_dim=16, seed=11,
@@ -51,17 +54,43 @@ def reports():
                                   jitter=0.0, seed=0)
     simulator = DeploymentSimulator(model, graph, storage=storage,
                                     batch_size=BATCH_SIZE)
+    runs = {"synchronous": [], "asynchronous-real": []}
+    for _ in range(REPS):
+        for mode in runs:
+            model.reset_state()
+            begin = time.perf_counter()
+            report = simulator.run(
+                mode=mode,
+                runtime_config=RuntimeConfig(num_workers=NUM_WORKERS,
+                                             max_backlog=MAX_BACKLOG,
+                                             worker_nice=19),
+            )
+            runs[mode].append((report, time.perf_counter() - begin))
+    # One p99 is the second-worst of 100 batches: report, per mode, the run
+    # whose p99 is the median of the reps.
     out = {}
-    for mode in ("synchronous", "asynchronous-real"):
-        model.reset_state()
-        begin = time.perf_counter()
-        out[mode] = simulator.run(
-            mode=mode,
-            runtime_config=RuntimeConfig(num_workers=NUM_WORKERS,
-                                         max_backlog=MAX_BACKLOG,
-                                         worker_nice=19),
-        )
-        out[mode + "/wall_s"] = time.perf_counter() - begin
+    for mode, reps in runs.items():
+        reps.sort(key=lambda rep: rep[0].p99_decision_ms)
+        out[mode], out[mode + "/wall_s"] = reps[REPS // 2]
+    result_queue.put(out)
+
+
+@pytest.fixture(scope="module")
+def reports():
+    # spawn: the runtime forks its workers from the measuring process.  A
+    # scorer that carries a whole tier-1 session's heap (~1.6 GB) measured an
+    # async p99 of 3.1-3.2 ms on four runs of four, the first batches after
+    # the fork among the worst; a fresh process measures 1.3-2.6 ms.
+    ctx = mp.get_context("spawn" if "spawn" in mp.get_all_start_methods()
+                         else "fork")
+    result_queue = ctx.Queue()
+    proc = ctx.Process(target=_measure, args=(result_queue,))
+    proc.start()
+    try:
+        out = result_queue.get(timeout=600)
+    finally:
+        proc.join(timeout=60)
+    assert proc.exitcode == 0
     return out
 
 
@@ -72,6 +101,7 @@ def test_async_runtime_beats_synchronous_p99(reports):
         "workload": {
             "num_events": NUM_EVENTS, "batch_size": BATCH_SIZE,
             "num_workers": NUM_WORKERS, "max_backlog": MAX_BACKLOG,
+            "reps": REPS,
         },
         "synchronous": {
             "p50_decision_ms": round(sync.p50_decision_ms, 3),

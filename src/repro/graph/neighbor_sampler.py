@@ -12,8 +12,9 @@ Two query shapes are supported:
   per-event path used by the reference propagation engine and the baselines;
 * :meth:`TemporalNeighborSampler.sample_many` — a whole frontier of
   ``(node, time)`` pairs at once, returning dense ``(N, num_neighbors)``
-  arrays computed against the graph's flat CSR view with a batched binary
-  search.  This is the hot path of the vectorized propagation engine.
+  arrays computed against the graph's adjacency index (per-node chronological
+  segments) with a batched binary search.  This is the hot path of the
+  vectorized propagation engine.
 
 Randomised strategies (uniform / time-weighted) support two RNG modes.  The
 default *stateful* mode draws from one shared generator, so repeated calls
@@ -108,23 +109,33 @@ def _segment_searchsorted(times: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """Vectorized per-segment ``searchsorted(..., side='left')``.
 
     For each query ``i``, returns the insertion point of ``targets[i]`` in the
-    sorted slice ``times[lo[i]:hi[i]]`` (as an absolute index).  Runs a
-    simultaneous binary search over all queries — O(log max_degree) rounds of
-    array ops instead of one Python-level bisect per query.
+    sorted slice ``times[lo[i]:hi[i]]`` (as an absolute index).  One probe of
+    each segment's last entry settles every query that lies after its whole
+    segment — all of them when routing a batch against the strictly older
+    store prefix; the rest run a simultaneous binary search, O(log
+    max_degree) rounds of array ops instead of one Python-level bisect per
+    query.
     """
-    lo = lo.copy()
-    hi = hi.copy()
+    result = lo.copy()
+    nonempty = np.flatnonzero(lo < hi)
+    last = hi[nonempty] - 1
+    after = times[last] < targets[nonempty]
+    result[nonempty[after]] = hi[nonempty[after]]
+    lanes = nonempty[~after]
+    if len(lanes) == 0:
+        return result
+    # times[last] >= target on these lanes: the answer lies in [lo, last].
+    lo, hi, targets = lo[lanes], last[~after], targets[lanes]
     active = lo < hi
     while np.any(active):
         mid = (lo + hi) // 2
-        # Only probe inside active segments; inactive lanes read index 0
-        # harmlessly (their result is already fixed).
-        probe = np.where(active, mid, 0)
-        go_right = active & (times[probe] < targets)
+        # Settled lanes have lo == hi == mid: probing them changes nothing.
+        go_right = active & (times[mid] < targets)
         lo = np.where(go_right, mid + 1, lo)
         hi = np.where(active & ~go_right, mid, hi)
         active = lo < hi
-    return lo
+    result[lanes] = lo
+    return result
 
 
 class TemporalNeighborSampler:
@@ -167,7 +178,7 @@ class TemporalNeighborSampler:
         """Sample all ``(nodes[i], times[i])`` neighbourhoods in one shot.
 
         Equivalent to stacking :meth:`sample` over the queries but computed
-        with array ops against the graph's CSR view: a batched binary search
+        with array ops against the graph's adjacency index: a batched binary search
         finds each query's "history before t" window, and the per-strategy
         :meth:`_select_positions_many` hook picks ``num_neighbors`` events
         from the windows that overflow.  In stateless mode the randomised
@@ -187,10 +198,12 @@ class TemporalNeighborSampler:
         )
         if count == 0:
             return out
-        indptr, csr_neighbors, csr_edge_ids, csr_times = self.graph.csr_view()
-        start = indptr[nodes]
-        stop = indptr[nodes + 1]
-        cut = _segment_searchsorted(csr_times, start, stop, times)
+        index = self.graph.adjacency()
+        # Ids outside the node range (padding) have no history, as in `sample`.
+        known = (nodes >= 0) & (nodes < index.num_nodes)
+        start, stop = index.segments(np.where(known, nodes, 0))
+        stop = np.where(known, stop, start)
+        cut = _segment_searchsorted(index.times, start, stop, times)
         window = cut - start
 
         slots = np.arange(size)
@@ -204,15 +217,15 @@ class TemporalNeighborSampler:
         if len(overflow):
             over_index, over_mask = self._select_positions_many(
                 overflow, nodes[overflow], times[overflow],
-                start[overflow], cut[overflow], csr_times)
+                start[overflow], cut[overflow], index.times)
             flat_index[overflow] = over_index
             mask[overflow] = over_mask
 
         if mask.any():
             safe = np.where(mask, flat_index, 0)
-            out.neighbors[mask] = csr_neighbors[safe][mask]
-            out.edge_ids[mask] = csr_edge_ids[safe][mask]
-            out.timestamps[mask] = csr_times[safe][mask]
+            out.neighbors[mask] = index.neighbors[safe][mask]
+            out.edge_ids[mask] = index.edge_ids[safe][mask]
+            out.timestamps[mask] = index.times[safe][mask]
         out.mask = mask
         return out
 
@@ -264,7 +277,7 @@ class TemporalNeighborSampler:
                                times: np.ndarray, start: np.ndarray,
                                cut: np.ndarray, csr_times: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
-        """Pick ``num_neighbors`` flat CSR indices for overflowing windows.
+        """Pick ``num_neighbors`` adjacency-arena slots for overflowing windows.
 
         Called only for queries whose history window ``[start, cut)`` exceeds
         ``num_neighbors``.  Returns ``(flat_index, mask)`` of shape

@@ -9,8 +9,8 @@ A CTDG is an ordered stream of interaction events ``(src, dst, t, edge_feat)``
   an append-only columnar :class:`~repro.storage.event_store.EventStore`
   holds the event columns (optionally ``np.memmap``-backed), and a
   :class:`~repro.storage.graph_view.GraphView` answers every temporal query
-  — "edges of node v before time t", the flat CSR adjacency for batched
-  neighbour sampling, chronological slicing.
+  — "edges of node v before time t", the per-node segment adjacency for
+  batched neighbour sampling, chronological slicing.
 
 The public API is bit-compatible with the pre-split monolith (pinned by
 ``tests/storage/test_equivalence.py``), with one upgrade: slicing.
@@ -22,8 +22,8 @@ gives an independent appendable copy when that is what you want.
 
 Storage layout (unchanged in spirit): events live in pre-allocated,
 amortised-doubling columns, so appends are O(1) amortised array writes with
-no per-event Python objects; the CSR adjacency is folded incrementally per
-appended batch (one stable counting sort), never rebuilt.  See
+no per-event Python objects; the adjacency index is folded incrementally per
+appended batch at a cost independent of the stream's length.  See
 ``src/repro/storage/`` for the underlying pieces and the sharding layer
 (:class:`~repro.storage.shard_map.ShardMap`) built on the same views.
 """
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from ..storage.event_store import EventStore
-from ..storage.graph_view import GraphView
+from ..storage.graph_view import CsrIndex, GraphView
 
 __all__ = ["Interaction", "TemporalGraph"]
 
@@ -191,16 +191,21 @@ class TemporalGraph:
         return self._store.append_batch(src, dst, timestamps, edge_features, labels)
 
     # ------------------------------------------------------------------ #
-    # CSR adjacency view
+    # Temporal adjacency
     # ------------------------------------------------------------------ #
+    def adjacency(self) -> CsrIndex:
+        """The incrementally-maintained adjacency index — see
+        :meth:`GraphView.adjacency`."""
+        return self._view.adjacency()
+
     def csr_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat CSR adjacency: ``(indptr, neighbors, edge_ids, timestamps)``.
+        """Compact CSR adjacency: ``(indptr, neighbors, edge_ids, timestamps)``.
 
         ``indptr`` has length ``num_nodes + 1``; node ``v``'s temporal
         neighbourhood is the slice ``[indptr[v], indptr[v + 1])`` of the three
-        data arrays, in chronological order.  The view is cached and updated
-        incrementally after appends, so batch neighbour queries amortise to
-        pure array indexing.  Callers must treat the arrays as read-only.
+        data arrays, in chronological order.  Derived from :meth:`adjacency`
+        on every call (O(num_nodes + entries)) — for tests and offline use;
+        batch neighbour queries read the index's segments directly.
         """
         return self._view.csr_view()
 

@@ -119,6 +119,7 @@ SERVING_SPANS = (
     "worker.apply",      # ψ delivery into the shared mailbox (+ order wait)
     "store.append",      # EventStore.append_batch
     "store.refresh",     # EventStore.refresh / remap
+    "view.fold",         # GraphView adjacency maintenance (arg = rows folded)
     "features.lookup",   # feature-store gathers on the decision path
     "features.advance",  # derived-view maintenance (off the critical path)
 )

@@ -254,15 +254,12 @@ class EventStore:
         return np.arange(count, stop, dtype=np.int64)
 
     def _reserve(self, needed: int) -> None:
-        if needed <= self._capacity and self._path is None:
-            # Memory backing tracks capacity through the arrays themselves.
-            pass
+        if needed <= self._capacity:
+            return
         if self._path is None:
             for name in self._columns:
                 self._columns[name] = _grow(self._columns[name], needed)
             self._capacity = len(self._columns["src"])
-            return
-        if needed <= self._capacity:
             return
         new_capacity = max(needed, 2 * self._capacity, 1024)
         for name, dtype, _ in _COLUMNS:

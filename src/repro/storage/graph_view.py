@@ -9,13 +9,15 @@ O(1) and the column accessors are NumPy views into the store's buffers
 (``np.shares_memory`` holds; pinned by ``tests/storage/``).
 
 The temporal adjacency index (:class:`CsrIndex`) is maintained
-*incrementally*: appending a batch folds only the new incidence entries into
-the cached CSR with one stable counting sort — O(built + new) array work per
-refresh, never a rebuild (the incremental-view discipline of "Answering
-FO+MOD queries under updates").  An index can be restricted to a
-:class:`~repro.storage.shard_map.ShardMap` shard, in which case it only
-materialises the shard's rows — the per-shard CSR a sharded serving worker
-maintains.
+*incrementally*, with update time independent of how much is already
+indexed (the point of "Answering FO+MOD queries under updates"): every node
+owns a contiguous, chronological segment with power-of-two slack inside
+growable arenas, so folding a batch sorts and writes only the batch's own
+entries and moves only the segments that outgrew their slack — amortised
+O(new entries), whatever the stream length.  An index can be restricted to
+a :class:`~repro.storage.shard_map.ShardMap` shard, in which case it only
+materialises the shard's rows — the per-shard index a sharded serving
+worker maintains.
 
 Three view flavours share one class:
 
@@ -38,24 +40,55 @@ from __future__ import annotations
 
 import numpy as np
 
+from .event_store import _grow
 from .shard_map import ShardMap
 
 __all__ = ["CsrIndex", "GraphView"]
 
 
-class CsrIndex:
-    """Incrementally-maintained flat CSR temporal adjacency.
+def _capacity(lengths: np.ndarray) -> np.ndarray:
+    """Slots reserved for segments of ``lengths`` entries.
 
-    Holds ``(indptr, neighbors, edge_ids, times)`` grouped by node, each
-    node's segment in chronological (= edge-id) order.  :meth:`extend` folds
-    a new chronological block of events into the cached view with one stable
-    counting sort plus two scatter copies — the same O(built + new) merge the
-    pre-split ``TemporalGraph`` used, kept bit-identical (pinned by
-    ``tests/storage/test_equivalence.py``).
+    The next power of two (0 for an empty segment): capacity is a function
+    of length alone, so it is never stored.
+    """
+    # frexp's exponent of len - 1 is its bit length (exact below 2**53).
+    _, bits = np.frexp(lengths - 1)
+    return np.where(lengths > 0, np.int64(1) << bits.astype(np.int64), 0)
+
+
+def _ragged_range(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([starts[i] + arange(lengths[i]) for i in ...])``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
+class CsrIndex:
+    """Incrementally-maintained temporal adjacency with per-node slack.
+
+    Node ``v``'s incidence entries are the slots
+    ``[start[v], start[v] + len[v])`` of three parallel arenas (``neighbors``
+    / ``edge_ids`` / ``times``), in chronological (= edge-id) order.  Each
+    segment sits in a block of ``next_power_of_two(len[v])`` slots, so most
+    appends land in slack the segment already owns.
+
+    :meth:`extend` folds a chronological block of events with one stable
+    argsort of the block's own entries, one ragged copy that moves only the
+    segments that outgrew their block (to a block twice as large at the
+    arena's tail) and one scatter write per arena — amortised O(new entries),
+    independent of how much is already indexed.  Blocks abandoned by moves
+    are reclaimed by rewriting the arenas once they outnumber the live
+    entries, which keeps ``touched_slots < 3 * num_entries`` (segments < 2x,
+    abandoned blocks <= 1x) at amortised O(1) per entry.
+
+    Readers address the arenas through :meth:`segments`; :meth:`view` derives
+    the compact ``(indptr, ...)`` CSR for tests and offline use.
 
     With ``node_mask`` the index only materialises entries whose endpoint
-    falls in the mask — a per-shard CSR costs ``O(shard degree)`` memory, not
-    ``O(total degree)``.
+    falls in the mask — a per-shard index costs ``O(shard degree)`` memory
+    (under 3x the shard's entries, see above) plus two ``int64`` per node of
+    the id space, not ``O(total degree)``.
     """
 
     def __init__(self, num_nodes: int, node_mask: np.ndarray | None = None):
@@ -64,19 +97,58 @@ class CsrIndex:
             else np.asarray(node_mask, dtype=bool)
         if self._node_mask is not None and len(self._node_mask) != num_nodes:
             raise ValueError("node_mask must have num_nodes entries")
-        self._indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        self._nodes = np.empty(0, dtype=np.int64)
-        self._neighbors = np.empty(0, dtype=np.int64)
-        self._edge_ids = np.empty(0, dtype=np.int64)
-        self._times = np.empty(0, dtype=np.float64)
+        self._start = np.zeros(num_nodes, dtype=np.int64)
+        self._len = np.zeros(num_nodes, dtype=np.int64)
+        self._arenas = [np.empty(0, dtype=np.int64),    # neighbors
+                        np.empty(0, dtype=np.int64),    # edge ids
+                        np.empty(0, dtype=np.float64)]  # times
+        self._tail = 0  # arena slots handed out so far
+        self._dead = 0  # of those, slots in blocks abandoned by moves
+        self._live = 0  # entries indexed
 
     @property
     def num_entries(self) -> int:
-        return len(self._nodes)
+        return self._live
+
+    @property
+    def touched_slots(self) -> int:
+        """Arena slots ever handed out: entries + slack + abandoned blocks."""
+        return self._tail
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        return self._arenas[0]
+
+    @property
+    def edge_ids(self) -> np.ndarray:
+        return self._arenas[1]
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._arenas[2]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Entries per node; treat as read-only."""
+        return self._len
+
+    def segments(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Arena bounds ``(lo, hi)`` of the chronological segment of each of
+        ``nodes`` (ids in ``[0, num_nodes)``); valid until the next
+        :meth:`extend`."""
+        lo = self._start[nodes]
+        return lo, lo + self._len[nodes]
 
     def view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, neighbors, edge_ids, timestamps)``; treat as read-only."""
-        return self._indptr, self._neighbors, self._edge_ids, self._times
+        """Compact CSR ``(indptr, neighbors, edge_ids, timestamps)``.
+
+        A derived O(num_nodes + num_entries) copy, for tests and offline use;
+        queries go through :meth:`segments`.
+        """
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(self._len, out=indptr[1:])
+        slots = _ragged_range(self._start, self._len)
+        return (indptr, *(arena[slots] for arena in self._arenas))
 
     def extend(self, src: np.ndarray, dst: np.ndarray, timestamps: np.ndarray,
                first_edge_id: int) -> None:
@@ -107,56 +179,71 @@ class CsrIndex:
             if len(entry_nodes) == 0:
                 return
 
-        built = len(self._nodes)
+        # Group the block's entries by node; the stable sort keeps each
+        # node's run in block (= time) order.
         order = np.argsort(entry_nodes, kind="stable")
         sorted_nodes = entry_nodes[order]
-        new_counts = np.bincount(sorted_nodes, minlength=self.num_nodes)
-        new_indptr = self._indptr.copy()
-        new_indptr[1:] += np.cumsum(new_counts)
+        runs = np.concatenate((
+            [0], np.flatnonzero(sorted_nodes[1:] != sorted_nodes[:-1]) + 1,
+            [len(sorted_nodes)]))
+        nodes = sorted_nodes[runs[:-1]]
+        counts = np.diff(runs)
+        old_len = self._len[nodes]
+        new_len = old_len + counts
 
-        total = built + len(sorted_nodes)
-        merged_nodes = np.empty(total, dtype=np.int64)
-        merged_neighbors = np.empty(total, dtype=np.int64)
-        merged_edge_ids = np.empty(total, dtype=np.int64)
-        merged_times = np.empty(total, dtype=np.float64)
-        # Old entries keep their within-segment position; the whole segment
-        # shifts by the number of new entries inserted before it.
-        old_positions = np.arange(built) \
-            + (new_indptr[self._nodes] - self._indptr[self._nodes])
-        merged_nodes[old_positions] = self._nodes
-        merged_neighbors[old_positions] = self._neighbors
-        merged_edge_ids[old_positions] = self._edge_ids
-        merged_times[old_positions] = self._times
-        # New entries land at their segment's tail, in block (= time) order:
-        # new segment start + old segment length + rank within the node's
-        # slice of the sorted new block.
-        group_starts = np.concatenate(([0], np.cumsum(new_counts)[:-1]))
-        segment_rank = np.arange(len(sorted_nodes)) - group_starts[sorted_nodes]
-        old_degrees = np.diff(self._indptr)
-        new_positions = new_indptr[sorted_nodes] + old_degrees[sorted_nodes] \
-            + segment_rank
-        merged_nodes[new_positions] = sorted_nodes
-        merged_neighbors[new_positions] = entry_neighbors[order]
-        merged_edge_ids[new_positions] = entry_edges[order]
-        merged_times[new_positions] = entry_times[order]
+        capacity = _capacity(new_len)
+        old_capacity = _capacity(old_len)
+        outgrown = capacity > old_capacity
+        if outgrown.any():
+            needed = self._tail + int(capacity[outgrown].sum())
+            self._arenas = [_grow(arena, needed) for arena in self._arenas]
+            self._relocate(nodes[outgrown], capacity[outgrown], self._arenas)
+            self._dead += int(old_capacity[outgrown].sum())
 
-        self._indptr = new_indptr
-        self._nodes = merged_nodes
-        self._neighbors = merged_neighbors
-        self._edge_ids = merged_edge_ids
-        self._times = merged_times
+        # New entries land at their segment's tail, in block order.
+        slots = _ragged_range(self._start[nodes] + old_len, counts)
+        for arena, entries in zip(self._arenas, (entry_neighbors, entry_edges,
+                                                 entry_times)):
+            arena[slots] = entries[order]
+        self._len[nodes] = new_len
+        self._live += len(order)
+        if self._dead > self._live:
+            self._compact()
+
+    def _relocate(self, nodes: np.ndarray, capacity: np.ndarray,
+                  source: list[np.ndarray]) -> None:
+        """Move ``nodes``' segments out of ``source`` into fresh blocks of
+        ``capacity`` slots at the arenas' tail."""
+        lengths = self._len[nodes]
+        start = self._tail + np.cumsum(capacity) - capacity
+        old_slots = _ragged_range(self._start[nodes], lengths)
+        new_slots = _ragged_range(start, lengths)
+        for arena, old in zip(self._arenas, source):
+            arena[new_slots] = old[old_slots]
+        self._start[nodes] = start
+        self._tail += int(capacity.sum())
+
+    def _compact(self) -> None:
+        """Rewrite the arenas without the blocks abandoned by moves."""
+        nodes = np.flatnonzero(self._len)
+        source = self._arenas
+        self._arenas = [np.empty_like(arena) for arena in source]
+        self._tail = self._dead = 0
+        self._relocate(nodes, _capacity(self._len[nodes]), source)
 
     def memory_footprint_bytes(self) -> int:
-        return sum(arr.nbytes for arr in
-                   (self._indptr, self._nodes, self._neighbors,
-                    self._edge_ids, self._times))
+        """Bytes the index has touched: handed-out arena slots plus the
+        per-node arrays (reserved-but-untouched arena capacity costs address
+        space, not memory)."""
+        slot_bytes = sum(arena.itemsize for arena in self._arenas)
+        return self._tail * slot_bytes + self._start.nbytes + self._len.nbytes
 
 
 class GraphView:
     """A zero-copy window over a shared :class:`EventStore`.
 
     Supports the full temporal-graph query API the samplers and batching
-    need (``csr_view`` / ``node_events`` / ``degree`` / ``active_nodes`` /
+    need (``adjacency`` / ``node_events`` / ``degree`` / ``active_nodes`` /
     ``edge_features_for``) plus O(1) re-slicing (:meth:`slice_time`,
     :meth:`slice_events`, :meth:`node_slice`).  Views are read-only; use
     :meth:`~repro.graph.temporal_graph.TemporalGraph.materialize` (or the
@@ -228,7 +315,7 @@ class GraphView:
 
         The serving workers' read path: after the writer publishes more
         events, ``extend_to`` makes exactly the prefix a batch is allowed to
-        see visible (and the next :meth:`csr_view` folds only the new rows).
+        see visible (and the next :meth:`adjacency` folds only the new rows).
         """
         if self._selection is not None:
             raise RuntimeError("selection views cannot be extended")
@@ -286,11 +373,13 @@ class GraphView:
     # ------------------------------------------------------------------ #
     # CSR adjacency + temporal queries
     # ------------------------------------------------------------------ #
-    def csr_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat CSR adjacency ``(indptr, neighbors, edge_ids, timestamps)``.
+    def adjacency(self) -> CsrIndex:
+        """The view's temporal adjacency index, folded up to its last event.
 
-        Maintained incrementally: only events appended since the last call
-        are folded in.  Edge ids are view-local.  Treat as read-only.
+        Maintained incrementally: only events that became visible since the
+        last call are folded in, at a cost independent of the view's length.
+        Edge ids are view-local.  Read through
+        :meth:`CsrIndex.segments`; bounds hold until the view next grows.
         """
         target = self.num_events
         if self._index is None:
@@ -298,19 +387,26 @@ class GraphView:
                 else self.shard_map.mask(self.shard)
             self._index = CsrIndex(self.num_nodes, node_mask=mask)
         if self._indexed < target:
-            if self._selection is not None:
-                block = self._selection[self._indexed:target]
+            with self.store.telemetry.span("view.fold",
+                                           arg=target - self._indexed):
+                if self._selection is not None:
+                    rows = self._selection[self._indexed:target]
+                else:
+                    rows = slice(self._start + self._indexed,
+                                 self._start + target)
                 self._index.extend(
-                    self.store.src[block], self.store.dst[block],
-                    self.store.timestamps[block], first_edge_id=self._indexed)
-            else:
-                lo = self._start + self._indexed
-                hi = self._start + target
-                self._index.extend(
-                    self.store.src[lo:hi], self.store.dst[lo:hi],
-                    self.store.timestamps[lo:hi], first_edge_id=self._indexed)
+                    self.store.src[rows], self.store.dst[rows],
+                    self.store.timestamps[rows], first_edge_id=self._indexed)
             self._indexed = target
-        return self._index.view()
+        return self._index
+
+    def csr_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Compact CSR adjacency ``(indptr, neighbors, edge_ids, timestamps)``.
+
+        A derived O(num_nodes + entries) read-out of :meth:`adjacency` for
+        tests and offline use — no query path goes through it.
+        """
+        return self.adjacency().view()
 
     def _check_shard_member(self, node: int) -> None:
         if self.shard_map is not None and 0 <= node < self.num_nodes:
@@ -324,11 +420,11 @@ class GraphView:
         if not 0 <= node < self.num_nodes:
             return 0
         self._check_shard_member(node)
-        indptr, _, _, times = self.csr_view()
-        start, stop = int(indptr[node]), int(indptr[node + 1])
+        index = self.adjacency()
+        start, stop = map(int, index.segments(node))
         if before is None:
             return stop - start
-        return int(np.searchsorted(times[start:stop], before, side="left"))
+        return int(np.searchsorted(index.times[start:stop], before, side="left"))
 
     def node_events(self, node: int, before: float | None = None,
                     strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,17 +439,18 @@ class GraphView:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), np.empty(0, dtype=np.float64)
         self._check_shard_member(node)
-        indptr, neighbors, edge_ids, times = self.csr_view()
-        start, stop = int(indptr[node]), int(indptr[node + 1])
+        index = self.adjacency()
+        start, stop = map(int, index.segments(node))
         if before is not None:
             side = "left" if strict else "right"
-            stop = start + int(np.searchsorted(times[start:stop], before, side=side))
-        return neighbors[start:stop], edge_ids[start:stop], times[start:stop]
+            stop = start + int(np.searchsorted(index.times[start:stop], before,
+                                               side=side))
+        return (index.neighbors[start:stop], index.edge_ids[start:stop],
+                index.times[start:stop])
 
     def active_nodes(self) -> np.ndarray:
         """Nodes with at least one view event (within the shard, if sharded)."""
-        indptr, _, _, _ = self.csr_view()
-        return np.where(np.diff(indptr) > 0)[0].astype(np.int64)
+        return np.flatnonzero(self.adjacency().degrees)
 
     # ------------------------------------------------------------------ #
     # Re-slicing (all O(1) or O(result); columns stay shared)

@@ -87,8 +87,21 @@ class TestServingTrace:
         span_names = {e["name"] for e in trace_document["traceEvents"]
                       if e.get("ph") == "X"}
         for required in ("scorer.submit", "queue.ride", "worker.propagate",
-                         "worker.apply", "store.append"):
+                         "worker.apply", "store.append", "view.fold"):
             assert required in span_names, f"no {required} span in trace"
+
+    def test_view_fold_spans_carry_rows_folded(self, trace_document):
+        # Index maintenance is its own span, separable from sampling: each
+        # worker's folds add up to the store prefix its last batch routed
+        # against, and the last batch of all saw every earlier row.
+        stream = make_stream()
+        rows_before_last = sum(len(batch.src) for batch, _, _ in stream[:-1])
+        folded = {}
+        for event in trace_document["traceEvents"]:
+            if event.get("ph") == "X" and event["name"] == "view.fold":
+                folded[event["pid"]] = folded.get(event["pid"], 0) \
+                    + event["args"]["value"]
+        assert max(folded.values()) == rows_before_last
 
     def test_spans_from_two_worker_processes(self, trace_document):
         pids = {e["pid"] for e in trace_document["traceEvents"]
