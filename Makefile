@@ -1,7 +1,7 @@
 PYTHON ?= python
 
 .PHONY: test test-fast equivalence bench bench-serving bench-storage \
-	bench-obs bench-analytics bench-scenarios trace docs-check
+	bench-obs bench-analytics bench-scenarios bench-pairs trace docs-check
 
 ## Tier-1: the full suite (unit tests + paper benchmarks), as CI runs it.
 test:
@@ -61,6 +61,16 @@ bench-analytics:
 ## SCENARIO_BENCH_CACHE=<dir> caches per-cell results across re-runs.
 bench-scenarios:
 	$(PYTHON) -m pytest -q benchmarks/test_scenario_matrix.py -s
+
+## Alternating parent/change pairs of one `python -m bench` workload — the
+## procedure a perf claim is accepted by: prints both sides' medians and
+## quartiles and the pairs won.  PARENT is a second checkout of the parent
+## commit (git clone, outside this tree), e.g.
+##   make bench-pairs PARENT=/root/scratch/parent WORKLOAD=steady_async PAIRS=10
+WORKLOAD ?= steady_async
+PAIRS ?= 10
+bench-pairs:
+	tools/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 ## Run a telemetry-enabled serving workload and export trace.json — open it
 ## in chrome://tracing or https://ui.perfetto.dev to see every pipeline span.

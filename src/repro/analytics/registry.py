@@ -19,8 +19,9 @@ and mode comparisons are safe.
 Refresh races
 -------------
 A reader-attached mmap store only sees rows the writer has *published*
-(atomic ``meta.json`` rewrite).  NumPy slicing would silently clamp
-``store.src[lo:hi]`` to the visible prefix, so a registry racing ahead of
+(the seqlock-guarded counts in ``header.bin``).  NumPy slicing would
+silently clamp ``store.src[lo:hi]`` to the visible prefix, so a registry
+racing ahead of
 the writer would quietly fold a short block and desynchronise from the
 stream forever.  ``advance`` therefore refreshes the store when ``hi`` is
 beyond the visible prefix and raises :class:`StaleStoreError` — naming both

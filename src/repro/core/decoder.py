@@ -18,7 +18,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.layers import MLP
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, is_grad_enabled
 
 __all__ = ["LinkPredictionDecoder", "EdgeClassificationDecoder", "NodeClassificationDecoder"]
 
@@ -34,6 +34,10 @@ class LinkPredictionDecoder(Module):
 
     def forward(self, src_embedding: Tensor, dst_embedding: Tensor) -> Tensor:
         """Return logits of shape ``(batch,)``."""
+        if not is_grad_enabled() and not (self.training and self.network.dropout > 0.0):
+            # Inference: the same arithmetic without ``Tensor`` graph nodes.
+            pair = np.concatenate([src_embedding.data, dst_embedding.data], axis=-1)
+            return Tensor(self.network.infer(pair).reshape(-1))
         pair = F.concat([src_embedding, dst_embedding], axis=-1)
         return self.network(pair).reshape(-1)
 

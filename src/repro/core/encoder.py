@@ -32,6 +32,15 @@ so they agree to within 1e-9 whenever dropout is inactive (eval mode, or
 ``dropout=0.0``) — ``tests/core/test_encoder_equivalence.py`` asserts this.
 With dropout *active* the engines draw different random masks (one draw per
 node versus one draw per batch) and are only equal in distribution.
+
+Inference forward: serving encodes a handful of nodes per decision, where
+building ``Tensor`` graph nodes costs more than the arithmetic.  So under
+``no_grad()`` with the vectorized engine, the learned positional encoding and
+dropout inactive, :meth:`APANEncoder.encode_many` runs the same operations in
+the same order on plain ndarrays — chosen from that state, not by an option;
+outputs and ``last_attention_weights`` are *bit*-equal to the ``Tensor``
+forward (``TestInferenceForward`` in the equivalence suite), which every
+other case still takes.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from ..nn import functional as F
 from ..nn.attention import MultiHeadAttention
 from ..nn.layers import Dropout, Embedding, LayerNorm, MLP, TimeEncode
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, is_grad_enabled
 
 __all__ = ["APANEncoder"]
 
@@ -133,6 +142,9 @@ class APANEncoder(Module):
         if engine == "reference":
             return self._encode_reference(last_embeddings, mails, mail_times,
                                           valid, current_time)
+        if (not is_grad_enabled() and self.position_embedding is not None
+                and not (self.training and self.dropout.rate > 0.0)):
+            return self._encode_inference(last_embeddings.data, mails, valid)
         return self._encode_vectorized(last_embeddings, mails, mail_times,
                                        valid, current_time)
 
@@ -163,6 +175,46 @@ class APANEncoder(Module):
         normalised = self.layer_norm(residual)
         normalised = self.dropout(normalised)
         return self.head(normalised)
+
+    def _encode_inference(self, last: np.ndarray, mails: np.ndarray,
+                          valid: np.ndarray) -> Tensor:
+        """:meth:`_encode_vectorized` on plain ndarrays (no ``Tensor`` nodes).
+
+        Same operations in the same order on the same shapes, so outputs and
+        ``last_attention_weights`` are bit-equal to the ``Tensor`` forward.
+        """
+        attention = self.attention
+        heads, head_dim = attention.num_heads, attention.head_dim
+        batch, slots, dim = len(last), self.num_slots, self.embedding_dim
+
+        def split_heads(x: np.ndarray, length: int) -> np.ndarray:
+            return x.reshape(batch, length, heads, head_dim).transpose(0, 2, 1, 3)
+
+        keyed = mails + self.position_embedding.weight.data
+        query = split_heads(last.reshape(batch, 1, dim) @ attention.w_query.data, 1)
+        key = split_heads(keyed @ attention.w_key.data, slots)
+        value = split_heads(keyed @ attention.w_value.data, slots)
+
+        mask = np.asarray(valid, dtype=bool)[:, None, None, :]
+        scores = (query @ key.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
+        logits = scores + np.where(mask, 0.0, -1e30)
+        exp = np.exp(logits + -logits.max(axis=-1, keepdims=True))
+        weights = exp / exp.sum(axis=-1, keepdims=True)
+        has_mail = mask.any(axis=-1, keepdims=True)
+        if not has_mail.all():
+            # Fully masked rows: uniform weights, as F.masked_softmax does.
+            weights = weights + np.where(has_mail, 0.0, 1.0 / slots - weights)
+        attention._last_attention = weights
+
+        merged = (weights @ value).transpose(0, 2, 1, 3).reshape(batch, 1, heads * head_dim)
+        attended = (merged @ attention.w_out.data).reshape(batch, dim)
+        residual = attended * has_mail.reshape(batch, 1).astype(np.float64) + last
+
+        centred = residual + -(residual.sum(axis=-1, keepdims=True) * (1.0 / dim))
+        var = (centred * centred).sum(axis=-1, keepdims=True) * (1.0 / dim)
+        normalised = centred / ((var + self.layer_norm.eps) ** 0.5)
+        hidden = normalised * self.layer_norm.gain.data + self.layer_norm.bias.data
+        return Tensor(self.head.infer(hidden))
 
     def _encode_reference(self, last_embeddings: Tensor, mails: np.ndarray,
                           mail_times: np.ndarray, valid: np.ndarray,

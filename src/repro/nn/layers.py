@@ -129,9 +129,19 @@ class MLP(Module):
         self.network = Sequential(*layers)
         self.in_features = in_features
         self.out_features = out_features
+        self.dropout = dropout
 
     def forward(self, x: Tensor) -> Tensor:
         return self.network(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain ndarray, bit-equal while dropout is inactive."""
+        for layer in self.network:
+            if isinstance(layer, Linear):  # built above, always with a bias
+                x = x @ layer.weight.data + layer.bias.data
+            elif isinstance(layer, _ReLU):
+                x = x * (x > 0)
+        return x
 
 
 class Embedding(Module):

@@ -679,6 +679,11 @@ class ServingRuntime:
             return min(self._delivered[:])
         return int(self._delivered[0])
 
+    def _prune_inflight(self, delivered: int) -> None:
+        """Forget submit walls of delivered batches (at most ``max_backlog`` stay)."""
+        while self._inflight_walls and self._inflight_walls[0][0] < delivered:
+            self._inflight_walls.popleft()
+
     def submit(self, batch: EventBatch, src_embeddings: np.ndarray,
                dst_embeddings: np.ndarray) -> int:
         """Append the batch to the shared store and enqueue its propagation.
@@ -709,10 +714,12 @@ class ServingRuntime:
                 self._submitted += 1
                 for worker_id in targets:
                     self._submitted_shared[worker_id] += 1
-                backlog = self._submitted - self._delivered_floor()
+                delivered = self._delivered_floor()
+                backlog = self._submitted - delivered
                 self._max_backlog_seen = max(self._max_backlog_seen, backlog)
+            self._prune_inflight(delivered)
             # Publish the events before the task that references them: the
-            # store's meta write happens-before the queue put, so a worker
+            # store's header publish happens-before the queue put, so a worker
             # that sees the task can always remap to the rows it names.
             start_row = self._store.num_events
             self._store.append_batch(batch.src, batch.dst, batch.timestamps,
@@ -762,8 +769,7 @@ class ServingRuntime:
             backlog = self._submitted - delivered
             watermark = min(self._watermark[:]) if self._sharded \
                 else self._watermark[0]
-        while self._inflight_walls and self._inflight_walls[0][0] < delivered:
-            self._inflight_walls.popleft()
+        self._prune_inflight(delivered)
         staleness_ms = 0.0
         if backlog and self._inflight_walls:
             staleness_ms = 1000.0 * (time.monotonic() - self._inflight_walls[0][1])

@@ -28,17 +28,26 @@ Backings
   matter how many serving workers attach — the fix for the per-worker
   private event stores that were the scaling wall of the PR-6 runtime.
 
-Publishing protocol (single writer, many readers): the writer updates
-``meta.json`` atomically (write-to-temp + rename) after every appended batch,
-*after* the column files have been extended and written.  A reader that
-re-reads the meta therefore never observes a ``num_events`` beyond what the
-files actually hold.
+Publishing protocol (single writer, many readers): *after* the column files
+have been extended and written, the writer publishes ``num_events``,
+``capacity`` and ``last_timestamp`` through ``header.bin`` — four mmap'd
+``int64`` words, the first a seqlock-style version: odd while the other three
+change, even (and non-zero) once they are stable.  An append costs five word
+stores, no file rewrite; a reader retries its four word loads until two equal
+even version reads bracket them, so it never observes a ``num_events`` beyond
+what the files hold, and fails loudly if the version stays odd (the writer
+died mid-publish).  Stores reach readers in program order on x86; the serving
+runtime's queue put orders them anywhere.  ``meta.json`` keeps the immutable
+geometry plus a snapshot of the counts, rewritten atomically (temp + rename)
+by ``create_mmap`` / ``save`` / ``flush`` only; a directory without a header
+(``save(path)`` output, or the older layout) attaches from that snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +59,9 @@ __all__ = ["EventStore", "EventStoreHandle"]
 
 _META_NAME = "meta.json"
 _FORMAT_VERSION = 1
+# int64 words: version, num_events, capacity, last_timestamp (float64 bits).
+_HEADER_NAME = "header.bin"
+_HEADER_READ_RETRIES = 1000  # backing off to 1 ms apart: about a second
 
 # Column name -> (dtype, is_2d). Order fixes the on-disk layout.
 _COLUMNS = (
@@ -109,6 +121,7 @@ class EventStore:
         self._capacity = 0
         self._last_timestamp = -np.inf
         self._path: Path | None = None
+        self._header: np.memmap | None = None
         self._writable = True
         # Observability sink; callers that want spans ("store.append",
         # "store.refresh") swap in a live Telemetry — the serving runtime
@@ -161,7 +174,8 @@ class EventStore:
         for name, dtype, _ in _COLUMNS:
             store._columns[name] = store._map_column(name, dtype,
                                                      store._capacity, "w+")
-        store._write_meta()
+        store._create_header()
+        store._write_meta()  # last: whoever can attach finds a published header
         return store
 
     @classmethod
@@ -176,10 +190,14 @@ class EventStore:
             raise ValueError("mode must be 'r' or 'r+'")
         path = Path(path)
         meta = json.loads((path / _META_NAME).read_text())
+        if meta.get("version", 1) != _FORMAT_VERSION:
+            raise ValueError(f"unsupported event store format: {meta.get('version')}")
         store = cls(meta["num_nodes"], meta["edge_feature_dim"])
         store._path = path
         store._writable = mode == "r+"
-        store._apply_meta(meta)
+        store._num_events, store._capacity, store._last_timestamp = store._published()
+        if store._header is None and store._writable:
+            store._create_header()
         store._columns = {}
         for name, dtype, _ in _COLUMNS:
             store._columns[name] = store._map_column(name, dtype,
@@ -249,8 +267,8 @@ class EventStore:
             self._columns["edge_features"][count:stop] = edge_features
             self._num_events = stop
             self._last_timestamp = float(timestamps[-1])
-            if self._path is not None:
-                self._write_meta()
+            if self._header is not None:
+                self._publish()
         return np.arange(count, stop, dtype=np.int64)
 
     def _reserve(self, needed: int) -> None:
@@ -270,7 +288,7 @@ class EventStore:
     # Reader-side growth
     # ------------------------------------------------------------------ #
     def refresh(self) -> "EventStore":
-        """Re-read the meta and follow the writer's growth (mmap readers).
+        """Re-read the header and follow the writer's growth (mmap readers).
 
         Cheap no-op when nothing changed.  Views handed out earlier keep
         referencing the old (still valid) maps; new column reads see the
@@ -279,12 +297,13 @@ class EventStore:
         if self._path is None:
             return self
         with self.telemetry.span("store.refresh"):
-            meta = json.loads((self._path / _META_NAME).read_text())
-            if meta["capacity"] != self._capacity:
+            num_events, capacity, last_timestamp = self._published()
+            if capacity != self._capacity:
                 for name, dtype, _ in _COLUMNS:
-                    self._remap_column(name, dtype, meta["capacity"],
+                    self._remap_column(name, dtype, capacity,
                                        "r+" if self._writable else "r")
-            self._apply_meta(meta)
+                self._capacity = capacity
+            self._num_events, self._last_timestamp = num_events, last_timestamp
         return self
 
     def ensure_visible(self, num_events: int) -> "EventStore":
@@ -324,6 +343,8 @@ class EventStore:
                 out[:self._num_events] = self._columns[name][:self._num_events]
                 out.flush()
                 del out
+        # The snapshot below is this directory's truth, not an earlier header.
+        (path / _HEADER_NAME).unlink(missing_ok=True)
         self._write_meta(path=path, capacity=capacity)
         return path
 
@@ -335,11 +356,13 @@ class EventStore:
             if isinstance(column, np.memmap):
                 column.flush()
         if self._writable:
+            self._header.flush()
             self._write_meta()
 
     def close(self) -> None:
-        """Drop the column maps (reader-side detach).  The store object is dead."""
+        """Drop the column and header maps (detach).  The store object is dead."""
         self._columns = {}
+        self._header = None
         self._capacity = 0
         self._num_events = 0
 
@@ -427,20 +450,47 @@ class EventStore:
         del old
         if self._writable and self._column_nbytes(name, capacity):
             # Extend the file before remapping; readers only learn the new
-            # capacity from the meta, which is written after this returns.
+            # capacity from the header, which is published after this returns.
             with open(self._path / f"{name}.bin", "r+b") as handle:
                 handle.truncate(self._column_nbytes(name, capacity))
         self._columns[name] = self._map_column(name, dtype, capacity, mode)
 
-    def _apply_meta(self, meta: dict) -> None:
-        if meta.get("version", 1) != _FORMAT_VERSION:
-            raise ValueError(f"unsupported event store format: {meta.get('version')}")
-        if (meta["num_nodes"], meta["edge_feature_dim"]) != \
-                (self.num_nodes, self.edge_feature_dim):
-            raise ValueError("store meta does not match this store's geometry")
-        self._num_events = int(meta["num_events"])
-        self._capacity = int(meta["capacity"])
-        self._last_timestamp = float(meta["last_timestamp"])
+    def _create_header(self) -> None:
+        """Writer: create ``header.bin`` (born all zeros: version 0, which
+        readers treat as unstable and retry) and publish the current counts."""
+        self._header = np.memmap(self._path / _HEADER_NAME, dtype=np.int64,
+                                 mode="w+", shape=(4,))
+        self._publish()
+
+    def _publish(self) -> None:
+        """Seqlock write: the version word is odd while the counts change."""
+        header = self._header
+        header[0] += 1
+        header[1] = self._num_events
+        header[2] = self._capacity
+        header[3] = np.float64(self._last_timestamp).view(np.int64)
+        header[0] += 1
+
+    def _published(self) -> tuple[int, int, float]:
+        """``(num_events, capacity, last_timestamp)`` as the writer last published."""
+        if self._header is None:
+            header_path = self._path / _HEADER_NAME
+            if not header_path.exists():  # this directory's JSON snapshot
+                meta = json.loads((self._path / _META_NAME).read_text())
+                return (int(meta["num_events"]), int(meta["capacity"]),
+                        float(meta["last_timestamp"]))
+            self._header = np.memmap(header_path, dtype=np.int64, shape=(4,),
+                                     mode="r+" if self._writable else "r")
+        header = self._header
+        for attempt in range(_HEADER_READ_RETRIES):
+            version = int(header[0])  # before the counts, then once more after
+            num_events, capacity, time_bits = header[1:].tolist()
+            if version and version % 2 == 0 and header[0] == version:
+                return num_events, capacity, float(np.int64(time_bits).view(np.float64))
+            time.sleep(min(attempt, 10) * 1e-4)  # yield to a preempted writer
+        raise RuntimeError(
+            f"no stable read of {self._path / _HEADER_NAME} in {_HEADER_READ_RETRIES} "
+            f"tries: version word stuck at {version} (odd: the writer died mid-publish)")
 
     def _write_meta(self, path: Path | None = None, capacity: int | None = None) -> None:
         path = path if path is not None else self._path
@@ -450,11 +500,8 @@ class EventStore:
             "edge_feature_dim": self.edge_feature_dim,
             "num_events": self._num_events,
             "capacity": capacity if capacity is not None else self._capacity,
-            "last_timestamp": self._last_timestamp
-            if np.isfinite(self._last_timestamp) else None,
+            "last_timestamp": self._last_timestamp,  # -Infinity while empty
         }
-        if meta["last_timestamp"] is None:
-            meta["last_timestamp"] = -float("inf")
         temporary = path / (_META_NAME + ".tmp")
         temporary.write_text(json.dumps(meta))
         os.replace(temporary, path / _META_NAME)

@@ -1,15 +1,17 @@
 """ViewRegistry vs. EventStore.refresh() races (the silent-clamp bugfix).
 
 A reader-attached mmap store only sees rows its writer has *published*
-(atomic ``meta.json`` rewrite).  NumPy would silently clamp a column slice
-past that prefix, so a registry racing ahead of the writer used to be able
-to fold a short block and desynchronise forever.  These tests pin the fix:
+(the seqlock-guarded counts in ``header.bin``).  NumPy would silently clamp a
+column slice past that prefix, so a registry racing ahead of the writer used
+to be able to fold a short block and desynchronise forever.  These tests pin
+the fix:
 ``advance(hi)`` past the published prefix refreshes once, then raises
 :class:`StaleStoreError` with both counts — and folds correctly (oracle
 bit-equality) once the writer actually publishes.
 """
 
 import multiprocessing as mp
+import time
 
 import numpy as np
 import pytest
@@ -136,7 +138,65 @@ def _reader_main(handle, commands, results):
         results.put(("error", repr(exc)))
 
 
+def _writer_main(path, total, go):
+    """Child process: append ``total`` events two at a time, as fast as it can."""
+    src, dst, ts, ef, lab = make_events(total, seed=5)
+    store = EventStore.open_mmap(path, mode="r+")
+    go.wait(60)
+    for start in range(0, total, 2):
+        stop = start + 2
+        store.append_batch(src[start:stop], dst[start:stop], ts[start:stop],
+                           ef[start:stop], lab[start:stop])
+    store.close()
+
+
 class TestWriterReaderProcessPair:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_reader_polls_header_through_capacity_doublings(self, tmp_path,
+                                                            start_method):
+        """Every refresh() sees a consistent (num_events, capacity,
+        last_timestamp) triple while the writer publishes ~5000 times and
+        grows the columns 8 -> 1024 -> ... -> 16384."""
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        total = 10_000
+        _, _, ts, _, _ = make_events(total, seed=5)
+        EventStore.create_mmap(tmp_path / "events", num_nodes=NUM_NODES,
+                               edge_feature_dim=3, capacity=8).close()
+        reader = EventStore.open_mmap(tmp_path / "events", mode="r")
+
+        ctx = mp.get_context(start_method)
+        go = ctx.Event()
+        proc = ctx.Process(target=_writer_main,
+                           args=(str(tmp_path / "events"), total, go))
+        proc.start()
+        capacities, polls, seen = {reader.capacity}, 0, 0
+        try:
+            go.set()
+            deadline = time.monotonic() + 120
+            while seen < total:
+                assert time.monotonic() < deadline, f"stuck at {seen} events"
+                reader.refresh()
+                polls += 1
+                assert seen <= reader.num_events <= reader.capacity
+                seen = reader.num_events
+                assert seen % 2 == 0  # whole batches only
+                if seen:
+                    assert reader.timestamps[seen - 1] == reader.last_timestamp
+                    assert reader.last_timestamp == ts[seen - 1]
+                capacities.add(reader.capacity)
+        finally:
+            proc.join(timeout=60)
+            if proc.is_alive():  # pragma: no cover - hang diagnostics
+                proc.terminate()
+        assert proc.exitcode == 0
+        assert np.array_equal(reader.timestamps, ts)
+        # 8 -> 1024 -> 2048 -> 4096 -> 8192 -> 16384; how many of the middle
+        # remaps this reader caught depends on scheduling, the ends do not.
+        assert {8, 16384} <= capacities <= {8, 1024, 2048, 4096, 8192, 16384}
+        assert polls > 1
+        reader.close()
+
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_reader_process_sees_stale_then_published(self, tmp_path,
                                                       start_method):

@@ -7,7 +7,9 @@ thing*.  Both engines share one parameter set, so with dropout inactive their
 outputs, attention weights and parameter gradients must agree to within
 ``ATOL`` across positional-encoding modes, ragged batch sizes and
 empty-mailbox rows.  ``Mailbox.gather_many`` — the storage half of the
-batched path — is covered here too.
+batched path — is covered here too, and so is the ndarray-only inference
+forward that ``no_grad()`` serving takes (``TestInferenceForward``: bit-equal
+to the ``Tensor`` forward, and never taken when that forward is needed).
 
 (The propagation twin of this suite is
 ``tests/core/test_propagation_equivalence.py``.)
@@ -17,11 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import APANConfig
+from repro.core.decoder import LinkPredictionDecoder
 from repro.core.encoder import APANEncoder
 from repro.core.mailbox import Mailbox, MailboxGather
 from repro.core.model import APAN
 from repro.graph.batching import EventBatch
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 ATOL = 1e-9
 
@@ -113,6 +116,131 @@ class TestEngineEquivalence:
             grads[engine] = [p.grad.copy() for p in encoder.parameters()]
         for grad_ref, grad_vec in zip(grads["reference"], grads["vectorized"]):
             np.testing.assert_allclose(grad_vec, grad_ref, atol=ATOL)
+
+
+class TestInferenceForward:
+    """``no_grad()`` serving takes an ndarray-only forward; it must be
+    *bit*-equal to the ``Tensor`` forward it shortcuts, and nothing that
+    needs the ``Tensor`` path (gradients, time encoding, live dropout, the
+    reference oracle) may be routed onto it."""
+
+    @staticmethod
+    def both_forwards(encoder, z, mails, times, valid):
+        with no_grad():
+            fast = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
+            fast_attention = encoder.last_attention_weights
+            slow = encoder._encode_vectorized(Tensor(z), mails, times, valid, 100.0)
+            slow_attention = encoder.last_attention_weights
+        assert isinstance(fast, Tensor) and not fast.requires_grad
+        return fast.data, fast_attention, slow.data, slow_attention
+
+    @pytest.fixture
+    def tensor_path_only(self, monkeypatch):
+        """Make the inference forward unusable: reaching it fails the test."""
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("inference forward taken")
+        monkeypatch.setattr(APANEncoder, "_encode_inference", forbidden)
+
+    @pytest.mark.parametrize("heads,dim", [(1, 8), (2, 8), (2, 16), (4, 16), (3, 9)])
+    @pytest.mark.parametrize("batch", [0, 1, 4, 185, 400])
+    def test_bit_equal_to_tensor_forward(self, batch, heads, dim):
+        slots = 10 if dim == 16 else 5
+        encoder = APANEncoder(embedding_dim=dim, num_slots=slots,
+                              num_heads=heads, hidden_dim=2 * dim, dropout=0.0,
+                              rng=np.random.default_rng(heads))
+        encoder.eval()
+        z, mails, times, valid = make_inputs(batch, slots=slots, dim=dim,
+                                             seed=batch, ragged=True)
+        fast, fast_att, slow, slow_att = self.both_forwards(
+            encoder, z, mails, times, valid)
+        assert fast.shape == (batch, dim)
+        assert fast_att.shape == (batch, heads, 1, slots)
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast_att, slow_att)
+
+    @pytest.mark.parametrize("empty_rows", [(0, 3), range(6)])
+    def test_bit_equal_with_empty_mailboxes(self, empty_rows):
+        encoder = make_encoder("vectorized", seed=2)
+        z, mails, times, valid = make_inputs(6, seed=3, empty_rows=empty_rows)
+        fast, fast_att, slow, slow_att = self.both_forwards(
+            encoder, z, mails, times, valid)
+        assert np.isfinite(fast).all()
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast_att, slow_att)
+        # Empty mailboxes attend uniformly (and contribute nothing).
+        assert np.array_equal(fast_att[list(empty_rows)],
+                              np.full((len(empty_rows), 2, 1, 5), 1.0 / 5))
+
+    def test_eval_mode_with_dropout_layers_is_bit_equal(self):
+        """dropout > 0 builds Dropout layers into the head; eval() idles them."""
+        encoder = make_encoder("vectorized", dropout=0.3, seed=4)
+        z, mails, times, valid = make_inputs(37, seed=6, ragged=True)
+        fast, fast_att, slow, slow_att = self.both_forwards(
+            encoder, z, mails, times, valid)
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast_att, slow_att)
+
+    def test_link_decoder_inference_is_bit_equal(self):
+        for dropout in (0.0, 0.3):
+            decoder = LinkPredictionDecoder(8, hidden_dim=16, dropout=dropout,
+                                            rng=np.random.default_rng(0))
+            decoder.eval()
+            rng = np.random.default_rng(1)
+            for batch in (0, 1, 2, 200):
+                src = Tensor(rng.normal(size=(batch, 8)))
+                dst = Tensor(rng.normal(size=(batch, 8)))
+                with no_grad():
+                    fast = decoder(src, dst)
+                slow = decoder(src, dst)  # grad enabled: the Tensor path
+                assert slow.requires_grad and not fast.requires_grad
+                assert fast.shape == slow.shape == (batch,)
+                assert np.array_equal(fast.data, slow.data)
+
+    def test_grad_enabled_takes_tensor_path(self, tensor_path_only):
+        """Gradients are those of the vectorized engine, unchanged."""
+        z, mails, times, valid = make_inputs(9, seed=5, ragged=True)
+        encoder = make_encoder("vectorized", seed=3)
+        out = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
+        assert out.requires_grad
+        (out * out).sum().backward()
+        oracle = make_encoder("reference", seed=3)
+        ref = oracle.encode_many(Tensor(z), mails, times, valid, 100.0)
+        (ref * ref).sum().backward()
+        for grad, grad_ref in zip((p.grad for p in encoder.parameters()),
+                                  (p.grad for p in oracle.parameters())):
+            np.testing.assert_allclose(grad, grad_ref, atol=ATOL)
+
+    def test_time_encoding_takes_tensor_path(self, tensor_path_only):
+        encoder = make_encoder("vectorized", positional="time")
+        z, mails, times, valid = make_inputs(5, ragged=True)
+        with no_grad():
+            out = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
+        assert out.shape == (5, 8)
+
+    def test_live_dropout_takes_tensor_path(self, tensor_path_only):
+        encoder = make_encoder("vectorized", dropout=0.5)
+        encoder.train()
+        z, mails, times, valid = make_inputs(64, ragged=True)
+        with no_grad():
+            first = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
+            second = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
+        assert not np.array_equal(first.data, second.data)  # masks were drawn
+
+    def test_reference_engine_takes_tensor_path(self, tensor_path_only):
+        z, mails, times, valid = make_inputs(4, ragged=True)
+        with no_grad():
+            make_encoder("reference").encode_many(Tensor(z), mails, times,
+                                                  valid, 100.0)
+            make_encoder("vectorized").encode_many(Tensor(z), mails, times,
+                                                   valid, 100.0,
+                                                   engine="reference")
+
+    def test_inference_forward_is_actually_taken(self, tensor_path_only):
+        """The guard fixture bites: eval + no_grad + learned does dispatch."""
+        z, mails, times, valid = make_inputs(4, ragged=True)
+        with no_grad(), pytest.raises(AssertionError, match="inference forward"):
+            make_encoder("vectorized").encode_many(Tensor(z), mails, times,
+                                                   valid, 100.0)
 
 
 class TestEngineWiring:

@@ -159,6 +159,20 @@ class TestBackpressureAndStaleness:
         # Event lag measured at the end of the stream is zero once drained.
         assert final.event_lag(batches[-1][0].end_time) == 0.0
 
+    def test_inflight_walls_stay_bounded_without_staleness_polls(self):
+        """submit() prunes delivered batches itself (it used to be staleness())."""
+        batches = make_stream(num_events=2_000, batch_size=2)
+        assert len(batches) == 1_000
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        spec = PropagatorSpec(NUM_NODES, DIM,
+                              dict(num_hops=2, num_neighbors=5, seed=3))
+        config = RuntimeConfig(num_workers=1, max_backlog=4)
+        with ServingRuntime(mailbox, spec, config) as runtime:
+            for batch, src_emb, dst_emb in batches:
+                runtime.submit(batch, src_emb, dst_emb)
+                assert len(runtime._inflight_walls) <= config.max_backlog
+            runtime.drain()
+
     def test_mean_delivery_lag_is_positive_after_work(self):
         batches = make_stream(num_events=1_000, batch_size=100)
         mailbox = Mailbox(NUM_NODES, SLOTS, DIM)

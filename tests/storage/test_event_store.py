@@ -1,11 +1,15 @@
 """EventStore: columnar append-only storage, in memory and mmap-backed."""
 
+import json
+import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.storage import EventStore
+from repro.storage import event_store as event_store_module
 
 
 def make_events(n, num_nodes=20, dim=4, seed=0):
@@ -186,3 +190,132 @@ class TestMmapStore:
         reader = EventStore.open_mmap(tmp_path / "events")
         assert reader.edge_features.shape == (2, 0)
         reader.close()
+
+
+class TestHeaderPublish:
+    """The binary header is the per-append publish; JSON is geometry + fallback."""
+
+    def make_store(self, tmp_path, capacity=4096):
+        return EventStore.create_mmap(tmp_path / "events", num_nodes=20,
+                                      edge_feature_dim=4, capacity=capacity)
+
+    def test_non_growing_append_rewrites_no_json(self, tmp_path, monkeypatch):
+        """Update cost depends on the update only: no file rewrite per append."""
+        calls = {"replace": 0, "dumps": 0}
+        real_replace, real_dumps = os.replace, json.dumps
+
+        def counting_replace(*args, **kwargs):
+            calls["replace"] += 1
+            return real_replace(*args, **kwargs)
+
+        def counting_dumps(*args, **kwargs):
+            calls["dumps"] += 1
+            return real_dumps(*args, **kwargs)
+
+        src, dst, ts, ef, lab = make_events(200)
+        store = self.make_store(tmp_path)
+        monkeypatch.setattr(event_store_module.os, "replace", counting_replace)
+        monkeypatch.setattr(event_store_module.json, "dumps", counting_dumps)
+        for start in range(0, 200, 2):
+            store.append_batch(src[start:start + 2], dst[start:start + 2],
+                               ts[start:start + 2], ef[start:start + 2],
+                               lab[start:start + 2])
+        assert calls == {"replace": 0, "dumps": 0}
+        monkeypatch.undo()
+
+        reader = EventStore.open_mmap(tmp_path / "events")
+        assert reader.num_events == 200
+        assert reader.last_timestamp == ts[-1]
+        assert np.array_equal(reader.timestamps, ts)
+        reader.close()
+        store.close()
+
+    def test_odd_version_is_a_loud_error_then_recovers(self, tmp_path, monkeypatch):
+        """A writer that died mid-publish must not make readers spin forever."""
+        monkeypatch.setattr(event_store_module, "_HEADER_READ_RETRIES", 5)
+        src, dst, ts, ef, lab = make_events(30)
+        writer = self.make_store(tmp_path)
+        writer.append_batch(src[:10], dst[:10], ts[:10], ef[:10], lab[:10])
+        reader = EventStore.open_mmap(tmp_path / "events")
+
+        writer._header[0] += 1  # what a crash between the two bumps leaves
+        stuck = int(writer._header[0])
+        assert stuck % 2 == 1
+        with pytest.raises(RuntimeError,
+                           match=rf"header\.bin.*stuck at {stuck}.*mid-publish"):
+            reader.refresh()
+        with pytest.raises(RuntimeError, match="mid-publish"):
+            EventStore.open_mmap(tmp_path / "events")
+        assert reader.num_events == 10  # the failed refresh changed nothing
+
+        writer._header[0] += 1  # the publish completes after all
+        writer.append_batch(src[10:], dst[10:], ts[10:], ef[10:], lab[10:])
+        assert reader.refresh().num_events == 30
+        assert reader.last_timestamp == ts[-1]
+        writer.close()
+        reader.close()
+
+    def test_close_drops_the_header_map(self, tmp_path):
+        writer = self.make_store(tmp_path)
+        reader = EventStore.open_mmap(tmp_path / "events")
+        assert isinstance(writer._header, np.memmap)
+        assert isinstance(reader._header, np.memmap)
+        writer.close()
+        reader.close()
+        assert writer._header is None and reader._header is None
+        shutil.rmtree(tmp_path / "events")
+        assert not (tmp_path / "events").exists()
+
+    def test_saved_directory_attaches_from_the_json_snapshot(self, tmp_path):
+        src, dst, ts, ef, lab = make_events(40)
+        store = self.make_store(tmp_path)
+        store.append_batch(src, dst, ts, ef, lab)
+        store.save(tmp_path / "saved")
+        assert not (tmp_path / "saved" / "header.bin").exists()
+        store.close()
+
+        loaded = EventStore.open_mmap(tmp_path / "saved")
+        assert (loaded.num_events, loaded.capacity) == (40, 40)
+        assert loaded.last_timestamp == ts[-1]
+        assert np.array_equal(loaded.dst, dst)
+        assert loaded.refresh().num_events == 40
+        loaded.close()
+
+    def test_old_layout_directory_attaches_and_upgrades(self, tmp_path):
+        """meta.json only (the pre-header layout): readers fall back to it;
+        the first ``r+`` attach creates the header and publishes through it."""
+        src, dst, ts, ef, lab = make_events(60)
+        old = self.make_store(tmp_path, capacity=16)
+        old.append_batch(src[:25], dst[:25], ts[:25], ef[:25], lab[:25])
+        old.flush()
+        capacity = old.capacity
+        old.close()
+        (tmp_path / "events" / "header.bin").unlink()
+
+        reader = EventStore.open_mmap(tmp_path / "events")
+        assert (reader.num_events, reader.capacity) == (25, capacity)
+        assert reader.last_timestamp == ts[24]
+        assert reader._header is None
+
+        writer = EventStore.open_mmap(tmp_path / "events", mode="r+")
+        assert (writer.num_events, writer.capacity) == (25, capacity)
+        writer.append_batch(src[25:], dst[25:], ts[25:], ef[25:], lab[25:])
+        # The old reader finds the new header on its next refresh.
+        assert reader.refresh().num_events == 60
+        assert np.array_equal(reader.timestamps, ts)
+        assert np.array_equal(reader.edge_features, ef)
+        writer.close()
+        reader.close()
+
+    def test_save_over_a_live_layout_discards_the_stale_header(self, tmp_path):
+        src, dst, ts, ef, lab = make_events(30)
+        first = self.make_store(tmp_path)
+        first.append_batch(src, dst, ts, ef, lab)
+        first.close()
+
+        second = EventStore(20, 4)
+        second.append_batch(src[:7], dst[:7], ts[:7], ef[:7], lab[:7])
+        second.save(tmp_path / "events")
+        loaded = EventStore.open_mmap(tmp_path / "events")
+        assert loaded.num_events == 7
+        loaded.close()
