@@ -27,9 +27,10 @@ bench:
 	$(PYTHON) -m pytest -q benchmarks/test_propagation_throughput.py \
 		benchmarks/test_encoder_throughput.py -s
 
-## Stream a sustained-rate workload through the real multi-process serving
-## runtime and through forced-synchronous propagation; write
-## BENCH_serving.json and assert the async p99 < sync p99 floor.
+## Figure 2, measured: serve a sustained-rate stream with APAN on the
+## worker pool, APAN inline and TGN inline; write BENCH_serving.json and
+## assert the p50 ordering (worker-pool < APAN inline < TGN inline) and the
+## worker-pool p99 < APAN inline p99 floor.
 ## SERVING_BENCH_EVENTS=100000 scales the stream for a local soak.
 bench-serving:
 	$(PYTHON) -m pytest -q benchmarks/test_serving_throughput.py -s
@@ -55,8 +56,8 @@ bench-analytics:
 	$(PYTHON) -m pytest -q benchmarks/test_analytics_throughput.py -s
 
 ## Serve APAN vs the JODIE/TGN baselines over every hostile scenario
-## (bursty / hubs / drift / late) in both simulated modes under a fold-late
-## watermark policy; write BENCH_scenarios.json and assert the matrix has
+## (bursty / hubs / drift / late), inline with measured decision latency,
+## under a fold-late watermark policy; write BENCH_scenarios.json and assert the matrix has
 ## no missing cells.  SCENARIO_BENCH_EVENTS scales the streams;
 ## SCENARIO_BENCH_CACHE=<dir> caches per-cell results across re-runs.
 bench-scenarios:

@@ -32,7 +32,7 @@ import pytest
 from repro.analytics import AnalyticsFeatureProvider
 from repro.core import APAN, APANConfig
 from repro.datasets import bipartite_interaction_dataset
-from repro.serving import DeploymentSimulator, RuntimeConfig, StorageLatencyModel
+from repro.serving import RuntimeConfig, ServingLoop
 
 from .harness import write_bench_record
 
@@ -62,10 +62,7 @@ def measurements():
     graph = dataset.to_temporal_graph()
     model = APAN(dataset.num_nodes, dataset.edge_feature_dim,
                  APANConfig(seed=0, dropout=0.0))
-    storage = StorageLatencyModel(graph_query_ms=0.0, kv_read_ms=0.0,
-                                  jitter=0.0, seed=0)
-    simulator = DeploymentSimulator(model, graph, storage=storage,
-                                    batch_size=BATCH_SIZE)
+    loop = ServingLoop(model, graph, batch_size=BATCH_SIZE)
 
     window = float(graph.timestamps[-1] - graph.timestamps[0]) / 4 or 1.0
 
@@ -80,14 +77,14 @@ def measurements():
             # Fresh feature store per run: both modes pay the identical
             # lookup/advance work, and the instrumented run's trace shows
             # the features.* spans of a full fold, not idempotent no-ops.
-            simulator.feature_provider = AnalyticsFeatureProvider(
+            loop.feature_provider = AnalyticsFeatureProvider(
                 graph, window=window)
             begin = time.perf_counter()
-            simulator.run(mode="asynchronous-real",
-                          runtime_config=_runtime_config(instrumented))
+            loop.run(mode="worker-pool",
+                     runtime_config=_runtime_config(instrumented))
             walls[instrumented].append(time.perf_counter() - begin)
             if instrumented:
-                telemetry = simulator.last_telemetry
+                telemetry = loop.last_telemetry
     return walls, telemetry
 
 

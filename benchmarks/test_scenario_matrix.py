@@ -2,14 +2,15 @@
 
 Runs the :class:`repro.scenarios.ScenarioMatrix` — APAN vs the JODIE and TGN
 baselines across the four adversarial scenarios (``bursty``, ``hubs``,
-``drift``, ``late``) in both simulated serving modes, under a ``fold-late``
-watermark policy — and writes the full record to ``BENCH_scenarios.json``
-at the repo root with :mod:`repro.obs` provenance (see
-``make bench-scenarios``).
+``drift``, ``late``) served ``inline`` (the one mode every model supports,
+decision latency measured), under a ``fold-late`` watermark policy — and
+writes the full record to ``BENCH_scenarios.json`` at the repo root with
+:mod:`repro.obs` provenance (see ``make bench-scenarios``).
 
 The guard asserts the matrix is *complete*: at least 4 scenarios x 3 models
-with no missing cells, every cell accounted (decisions served, rows folded),
-and the late-event accounting consistent with the declared scenario specs.
+x ``inline`` with no missing cells, every cell accounted (decisions served,
+rows folded), and the late-event accounting consistent with the declared
+scenario specs.
 Per-cell results are cached under ``SCENARIO_BENCH_CACHE`` (keyed by
 scenario fingerprint + model + mode + policy), so local re-runs only pay
 for new cells; CI runs cold.  ``SCENARIO_BENCH_EVENTS`` scales the streams
@@ -66,7 +67,7 @@ def test_matrix_is_complete(record):
     coverage = record["coverage"]
     assert coverage["num_scenarios"] >= 4, "matrix must cover >= 4 scenarios"
     assert coverage["num_models"] >= 3, "matrix must compare >= 3 models"
-    assert coverage["num_modes"] >= 2, "matrix must cover >= 2 serving modes"
+    assert record["modes"] == ["inline"], "matrix serves every model inline"
     assert coverage["missing"] == [], (
         f"matrix has holes: {coverage['missing']}")
     assert coverage["num_cells"] == (coverage["num_scenarios"]

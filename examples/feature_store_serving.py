@@ -10,9 +10,9 @@ that discipline:
    top-k risk),
 2. publishes a prefix with ``advance`` and looks up decision features for the
    *next* batch — the lookup only ever sees already-folded events,
-3. serves the stream through ``DeploymentSimulator`` with the provider on the
+3. serves the stream through ``ServingLoop`` with the provider on the
    decision path, and inspects the top-k risk view and the state snapshot,
-4. re-serves on the real multi-process runtime with telemetry enabled and
+4. re-serves on the multi-process worker pool with telemetry enabled and
    reads the ``features.lookup`` / ``features.advance`` span histograms.
 
 Run with ``python examples/feature_store_serving.py``.
@@ -24,7 +24,7 @@ from repro import APAN, APANConfig
 from repro.analytics import FEATURE_NAMES, AnalyticsFeatureProvider
 from repro.datasets import alipay_like
 from repro.graph import iterate_batches
-from repro.serving import DeploymentSimulator, RuntimeConfig
+from repro.serving import RuntimeConfig, ServingLoop
 
 
 def main() -> None:
@@ -49,9 +49,8 @@ def main() -> None:
     model = APAN(dataset.num_nodes, dataset.edge_feature_dim,
                  APANConfig(seed=0, dropout=0.0))
     provider = AnalyticsFeatureProvider(graph, window=window, top_k=5)
-    simulator = DeploymentSimulator(model, graph, batch_size=50,
-                                    feature_provider=provider)
-    report = simulator.run(max_batches=12)
+    loop = ServingLoop(model, graph, batch_size=50, feature_provider=provider)
+    report = loop.run(max_batches=12)
     print(f"\nserved {provider.folded} events "
           f"(mean decision {report.mean_decision_ms:.2f} ms); "
           "riskiest accounts by latest scorer logit:")
@@ -62,15 +61,15 @@ def main() -> None:
           f"{snapshot['memory_bytes'] / 1024:.0f} KiB across all views, "
           f"{snapshot['late_dropped']} late events dropped")
 
-    # --- 4: the same seam on the real runtime, with telemetry. -------------
+    # --- 4: the same seam on the worker pool, with telemetry. -------------
     model.reset_state()
-    simulator.feature_provider = AnalyticsFeatureProvider(graph, window=window,
-                                                          top_k=5)
-    simulator.run(max_batches=12, mode="asynchronous-real",
-                  runtime_config=RuntimeConfig(num_workers=2, max_backlog=4,
-                                               telemetry=True))
-    telemetry = simulator.last_telemetry
-    print("\nfeature-store spans on the real runtime (ms):")
+    loop.feature_provider = AnalyticsFeatureProvider(graph, window=window,
+                                                     top_k=5)
+    loop.run(max_batches=12, mode="worker-pool",
+             runtime_config=RuntimeConfig(num_workers=2, max_backlog=4,
+                                          telemetry=True))
+    telemetry = loop.last_telemetry
+    print("\nfeature-store spans on the worker pool (ms):")
     for name in ("features.lookup", "features.advance"):
         hist = telemetry.histogram_summary(name)
         print(f"  {name:>16s}: n={hist.count:3d}  mean={hist.mean:.3f}  "

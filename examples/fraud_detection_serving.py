@@ -6,9 +6,9 @@ The paper's motivating use case is an online payment platform that must decide
 1. generates an Alipay-like transaction graph with planted fraud rings,
 2. trains APAN self-supervised on the transaction stream, then trains the edge
    classification decoder on the training window's fraud labels,
-3. simulates online serving twice — once with APAN's asynchronous deployment
-   and once with a synchronous TGN deployment — using a storage latency model
-   for graph-database vs key-value reads, and compares decision latencies,
+3. serves the stream twice and measures decision latency — APAN with mail
+   propagation on a worker pool (off the decision path) and TGN ``inline``,
+   its only deployment (state update on the decision path),
 4. reports fraud-detection AUC on the held-out window.
 
 Run with ``python examples/fraud_detection_serving.py``.
@@ -20,7 +20,7 @@ from repro import APAN, APANConfig, LinkPredictionTrainer
 from repro.baselines import TGN
 from repro.datasets import alipay_like
 from repro.eval import evaluate_edge_classification
-from repro.serving import DeploymentSimulator, RuntimeConfig, StorageLatencyModel
+from repro.serving import RuntimeConfig, ServingLoop
 from repro.utils import format_table
 
 
@@ -43,40 +43,33 @@ def main() -> None:
     print(f"fraud detection AUC: val {100 * fraud.val_auc:.1f}%  "
           f"test {100 * fraud.test_auc:.1f}%")
 
-    # --- Serving simulation: asynchronous APAN vs synchronous TGN.
-    #    The simulator replays the stream from t=0, so the streaming state
-    #    (mailboxes + event store) must start fresh.
+    # --- Serving: APAN on the worker pool vs TGN inline, both measured.
+    #    The loop replays the stream from t=0, so the streaming state
+    #    (mailboxes + event store) must start fresh.  Worker processes
+    #    propagate mail into a shared-memory mailbox while the scorer keeps
+    #    answering; each decision reports how stale a snapshot it read.
     apan.reset_state()
-    storage = StorageLatencyModel(graph_query_ms=8.0, kv_read_ms=0.4, seed=0)
-    simulator = DeploymentSimulator(apan, graph, storage=storage, batch_size=50)
-    apan_report = simulator.run(max_batches=12)
-    # The same stream through the *real* multi-process runtime: actual worker
-    # processes propagate mail into a shared-memory mailbox while the scorer
-    # keeps answering, and each decision reports how stale a snapshot it read.
-    apan.reset_state()
-    real_report = simulator.run(max_batches=12, mode="asynchronous-real",
-                                runtime_config=RuntimeConfig(num_workers=2,
-                                                             max_backlog=4))
+    apan_report = ServingLoop(apan, graph, batch_size=50).run(
+        max_batches=12, mode="worker-pool",
+        runtime_config=RuntimeConfig(num_workers=2, max_backlog=4))
     tgn = TGN(dataset.num_nodes, dataset.edge_feature_dim, num_layers=1,
               num_neighbors=10, seed=0)
-    tgn_report = DeploymentSimulator(tgn, graph, storage=storage,
-                                     batch_size=50).run(max_batches=12)
+    tgn_report = ServingLoop(tgn, graph, batch_size=50).run(max_batches=12)
 
-    print("\nSimulated decision latency (per batch of 50 transactions):")
+    print("\nMeasured decision latency (per batch of 50 transactions):")
     print(format_table([
-        {"deployment": "APAN (async, simulated)", **apan_report.as_dict()},
-        {"deployment": "APAN (async, real runtime)", **real_report.as_dict()},
-        {"deployment": "TGN (synchronous)", **tgn_report.as_dict()},
+        {"deployment": "APAN (worker-pool)", **apan_report.as_dict()},
+        {"deployment": "TGN (inline)", **tgn_report.as_dict()},
     ], columns=["deployment", "mean_decision_ms", "p95_decision_ms",
                 "p99_decision_ms", "mean_async_lag_ms"]))
     speedup = tgn_report.mean_decision_ms / apan_report.mean_decision_ms
     print(f"\nAPAN answers {speedup:.1f}x faster on the decision path; its mail "
-          "propagation runs on the background queue "
+          "propagation runs on the worker pool "
           f"(mean lag {apan_report.mean_async_lag_ms:.1f} ms) where it cannot "
-          "delay the ban decision.  On the real runtime the mailbox snapshot "
-          f"a decision reads is on average {real_report.mean_staleness_ms:.1f} ms "
-          f"stale (max {real_report.max_staleness_ms:.1f} ms, backlog "
-          f"≤ {real_report.max_backlog}).")
+          "delay the ban decision.  The mailbox snapshot a decision reads is "
+          f"on average {apan_report.mean_staleness_ms:.1f} ms stale "
+          f"(max {apan_report.max_staleness_ms:.1f} ms, backlog "
+          f"≤ {apan_report.max_backlog}).")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro import APAN, APANConfig
 from repro.datasets import bipartite_interaction_dataset
 from repro.obs import run_metadata
-from repro.serving import DeploymentSimulator, RuntimeConfig, StorageLatencyModel
+from repro.serving import RuntimeConfig, ServingLoop
 from repro.utils import format_table
 
 NUM_EVENTS = 6000
@@ -37,18 +37,15 @@ def main() -> None:
     graph = dataset.to_temporal_graph()
     model = APAN(dataset.num_nodes, dataset.edge_feature_dim,
                  APANConfig(seed=0, dropout=0.0))
-    storage = StorageLatencyModel(graph_query_ms=0.0, kv_read_ms=0.0,
-                                  jitter=0.0, seed=0)
-    simulator = DeploymentSimulator(model, graph, storage=storage,
-                                    batch_size=BATCH_SIZE)
+    loop = ServingLoop(model, graph, batch_size=BATCH_SIZE)
 
     print(f"streaming {NUM_EVENTS} events x {BATCH_SIZE}/batch through "
           f"{NUM_WORKERS} worker processes with telemetry on ...")
-    report = simulator.run(
-        mode="asynchronous-real",
+    report = loop.run(
+        mode="worker-pool",
         runtime_config=RuntimeConfig(num_workers=NUM_WORKERS, max_backlog=8,
                                      telemetry=True))
-    telemetry = simulator.last_telemetry
+    telemetry = loop.last_telemetry
     assert telemetry is not None
 
     snapshot = telemetry.snapshot()

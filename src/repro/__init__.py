@@ -5,7 +5,7 @@ dynamic graph embedding model that decouples model inference from graph
 querying so it can serve millisecond-level decisions online.  This package
 contains the model, every substrate it needs (a NumPy neural-network
 framework, a temporal graph store, dataset generators), the baselines it is
-compared against, the evaluation protocol and a deployment simulator.
+compared against, the evaluation protocol and a measured serving loop.
 
 Quickstart::
 

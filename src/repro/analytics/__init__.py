@@ -20,7 +20,7 @@ maintenance cost per event is independent of stream length.
   published.
 * :class:`AnalyticsFeatureProvider` — the
   :class:`~repro.serving.service.FeatureProvider` implementation that plugs
-  the above into :class:`~repro.serving.service.DeploymentSimulator`.
+  the above into :class:`~repro.serving.service.ServingLoop`.
 * :mod:`repro.analytics.recompute` — recompute-from-scratch oracles; the
   incremental state must equal them bit for bit at every publish point
   (pinned by the hypothesis suite in ``tests/analytics/``).

@@ -7,7 +7,7 @@ aggregator and a degree-velocity tracker over the event source, plus a
 bounded :class:`~repro.analytics.topk.TopKView` of the scorer's risk
 logits fed out-of-band through :meth:`observe_scores`.
 
-Per scored micro-batch the simulator calls :meth:`lookup` (pure O(batch)
+Per scored micro-batch the serving loop calls :meth:`lookup` (pure O(batch)
 gathers — the decision path), then :meth:`observe_scores` and
 :meth:`advance` (view maintenance — off the critical path).  When a live
 :class:`~repro.obs.telemetry.Telemetry` is bound, lookups appear as
@@ -84,7 +84,7 @@ class AnalyticsFeatureProvider(FeatureProvider):
     def set_watermark_policy(self, policy: WatermarkPolicy) -> None:
         """Install a late-event policy; must precede the first fold.
 
-        Called by :class:`~repro.serving.service.DeploymentSimulator` when
+        Called by :class:`~repro.serving.service.ServingLoop` when
         it was handed an explicit ``watermark_policy`` — folds that already
         happened under another policy cannot be re-adjudicated, so this
         raises once anything has been published.

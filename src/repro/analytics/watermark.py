@@ -7,7 +7,7 @@ time, *fold* it only while it is no more than a bounded lateness behind, or
 *drop* it outright — but whichever it does should be a declared policy, not
 an accident of ring-buffer geometry.  :class:`WatermarkPolicy` is that
 declaration, consumed by :class:`~repro.analytics.windows.WindowAggregator`
-(and threaded through :class:`~repro.serving.service.DeploymentSimulator` /
+(and threaded through :class:`~repro.serving.service.ServingLoop` /
 :class:`~repro.serving.runtime.RuntimeConfig` down to the
 :class:`~repro.analytics.registry.ViewRegistry` fold path):
 

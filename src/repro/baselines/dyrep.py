@@ -30,8 +30,6 @@ __all__ = ["DyRep"]
 class DyRep(TemporalEmbeddingModel):
     """DyRep: memory with neighbour-aggregated messages, identity readout."""
 
-    synchronous_graph_query = True
-
     def __init__(self, num_nodes: int, edge_feature_dim: int,
                  memory_dim: int | None = None, num_neighbors: int = 10,
                  time_dim: int = 32, sampling: str = "recent", seed: int = 0):

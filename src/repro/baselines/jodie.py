@@ -27,8 +27,6 @@ __all__ = ["JODIE"]
 class JODIE(TemporalEmbeddingModel):
     """JODIE with a shared GRU memory updater and time-projection embedding."""
 
-    synchronous_graph_query = False
-
     def __init__(self, num_nodes: int, edge_feature_dim: int,
                  memory_dim: int | None = None, time_dim: int = 32, seed: int = 0):
         memory_dim = memory_dim or edge_feature_dim

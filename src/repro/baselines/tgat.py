@@ -30,8 +30,6 @@ __all__ = ["TGAT"]
 class TGAT(TemporalEmbeddingModel):
     """Temporal Graph Attention network with 1 or 2 aggregation layers."""
 
-    synchronous_graph_query = True
-
     def __init__(self, num_nodes: int, edge_feature_dim: int,
                  embedding_dim: int | None = None, num_layers: int = 2,
                  num_neighbors: int = 10, num_heads: int = 2,

@@ -32,8 +32,6 @@ __all__ = ["TGN"]
 class TGN(TemporalEmbeddingModel):
     """Temporal Graph Network (memory + temporal attention)."""
 
-    synchronous_graph_query = True
-
     def __init__(self, num_nodes: int, edge_feature_dim: int,
                  memory_dim: int | None = None, embedding_dim: int | None = None,
                  num_layers: int = 1, num_neighbors: int = 10, num_heads: int = 2,

@@ -47,9 +47,6 @@ class BatchEmbeddings:
 class TemporalEmbeddingModel(Module):
     """Abstract base class for CTDG embedding models."""
 
-    #: whether the model needs to query the temporal graph on the critical path
-    synchronous_graph_query: bool = True
-
     def __init__(self, num_nodes: int, edge_feature_dim: int, embedding_dim: int):
         super().__init__()
         self.num_nodes = num_nodes

@@ -39,8 +39,6 @@ __all__ = ["APAN"]
 class APAN(TemporalEmbeddingModel):
     """Asynchronous Propagation Attention Network."""
 
-    synchronous_graph_query = False
-
     def __init__(self, num_nodes: int, edge_feature_dim: int,
                  config: APANConfig | None = None):
         config = (config or APANConfig()).validate()

@@ -2,7 +2,7 @@
 
 Modules own :class:`Parameter` tensors and child modules, and expose the usual
 ``parameters()`` / ``train()`` / ``eval()`` / ``state_dict()`` interface used
-by the trainers, the serving simulator and the checkpointing tests.
+by the trainers, the serving loop and the checkpointing tests.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ _GRAD_ENABLED = True
 class no_grad:
     """Context manager that disables graph construction.
 
-    Used by the evaluators and by the online-serving simulator, where we only
+    Used by the evaluators and by the online serving loop, where we only
     run forward passes and do not want to pay the cost of recording a tape.
     """
 

@@ -3,9 +3,9 @@
 The generators in :mod:`repro.scenarios.generators` each stress one failure
 mode; this module runs the *cross product* — each registered model served
 over each hostile scenario in each serving mode — and collects the serving
-metrics (decision latency percentiles, backlog, staleness, late-event
-accounting under the active :class:`~repro.analytics.WatermarkPolicy`) into
-one machine-readable record.  ``benchmarks/test_scenario_matrix.py`` writes
+metrics (measured decision latency percentiles, backlog, staleness,
+late-event accounting under the active
+:class:`~repro.analytics.WatermarkPolicy`) into one machine-readable record.  ``benchmarks/test_scenario_matrix.py`` writes
 it out as ``BENCH_scenarios.json`` with :mod:`repro.obs` provenance.
 
 Cells are **cached**: each (scenario spec, model, mode, batch size, policy)
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from ..analytics import AnalyticsFeatureProvider, WatermarkPolicy
 from ..obs import run_metadata
-from ..serving import DeploymentSimulator, StorageLatencyModel
+from ..serving import ServingLoop
 from .generators import bursty_arrivals, concept_drift, hub_nodes, late_events
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # Bump when cell semantics change: invalidates every cached cell at once.
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 SCENARIO_GENERATORS = {
     "bursty": bursty_arrivals,
@@ -54,7 +54,7 @@ SCENARIO_GENERATORS = {
 }
 
 # CI-scale parameterisations: small enough that the full default matrix
-# (4 scenarios x 3 models x 2 modes = 24 cells) runs in well under a
+# (4 scenarios x 3 models x 1 mode = 12 cells) runs in well under a
 # minute cold, while still exercising each scenario's hostile shape.
 MATRIX_SCENARIOS = {
     "bursty": dict(num_events=600, num_nodes=120, peak_mean_ratio=6.0,
@@ -64,9 +64,9 @@ MATRIX_SCENARIOS = {
     "late": dict(num_events=600, num_nodes=120, late_fraction=0.3, seed=7),
 }
 
-# The real runtime needs a model with an APAN-style mailbox; the default
-# matrix sticks to the two modes every TemporalEmbeddingModel supports.
-DEFAULT_MATRIX_MODES = ("synchronous", "asynchronous-simulated")
+# The worker pool needs a model with an APAN-style mailbox; the default
+# matrix sticks to the one mode every TemporalEmbeddingModel supports.
+DEFAULT_MATRIX_MODES = ("inline",)
 
 
 def default_model_zoo() -> dict:
@@ -107,8 +107,8 @@ class ScenarioMatrix:
         :func:`default_model_zoo`).
     modes:
         Serving modes per cell (default: :data:`DEFAULT_MATRIX_MODES`).
-        ``"asynchronous-real"`` requires models the multi-process runtime
-        supports (APAN-style mailbox models) and a ``runtime_config``.
+        ``"worker-pool"`` requires models the multi-process runtime
+        supports (APAN-style mailbox models) and takes ``runtime_config``.
     policy:
         The :class:`~repro.analytics.WatermarkPolicy` installed on every
         cell's feature provider (default: admit-all).
@@ -188,12 +188,10 @@ class ScenarioMatrix:
         provider = AnalyticsFeatureProvider(
             graph, window=float(spec["timespan"]), num_buckets=16,
             watermark_policy=self.policy, event_times=dataset.event_times)
-        simulator = DeploymentSimulator(
-            model, graph, storage=StorageLatencyModel(seed=0),
-            batch_size=self.batch_size, feature_provider=provider)
-        config = self.runtime_config if mode == "asynchronous-real" else None
-        report = simulator.run(max_batches=self.max_batches, mode=mode,
-                               runtime_config=config)
+        loop = ServingLoop(model, graph, batch_size=self.batch_size,
+                           feature_provider=provider)
+        report = loop.run(max_batches=self.max_batches, mode=mode,
+                          runtime_config=self.runtime_config)
         cell = report.as_dict()
         cell["rows_folded"] = int(provider.folded)
         return cell

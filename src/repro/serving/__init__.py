@@ -1,7 +1,5 @@
-"""Online serving: simulated deployments and the real multi-process runtime."""
+"""Online serving: the measured decision loop and the multi-process runtime."""
 
-from .latency import StorageLatencyModel
-from .queue import AsyncTask, AsyncWorkQueue
 from .runtime import (
     PropagatorSpec,
     RuntimeConfig,
@@ -12,23 +10,20 @@ from .runtime import (
 )
 from .service import (
     SERVING_MODES,
-    DeploymentSimulator,
     FeatureProvider,
+    ServingLoop,
     ServingReport,
 )
 
 __all__ = [
-    "StorageLatencyModel",
     "FeatureProvider",
-    "AsyncTask",
-    "AsyncWorkQueue",
     "PropagatorSpec",
     "RuntimeConfig",
     "RuntimeTelemetrySnapshot",
     "ServingRuntime",
     "StalenessSnapshot",
     "serving_telemetry_spec",
-    "DeploymentSimulator",
+    "ServingLoop",
     "ServingReport",
     "SERVING_MODES",
 ]

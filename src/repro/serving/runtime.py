@@ -1,10 +1,9 @@
 """Real multi-process serving runtime for the asynchronous propagation link.
 
-This is the deployed counterpart of the deterministic simulation in
-:mod:`repro.serving.queue`: instead of *modelling* background workers, it runs
-them.  The paper's central claim (§3.1, Figure 2) is that mail propagation is
-off the decision path on real asynchronous workers; this module makes that
-claim testable on an actual concurrent runtime.
+The paper's central claim (§3.1, Figure 2) is that mail propagation is off
+the decision path on real asynchronous workers; this module makes that claim
+testable on an actual concurrent runtime (the ``"worker-pool"`` mode of
+:class:`~repro.serving.service.ServingLoop`).
 
 Dataflow
 --------
@@ -43,8 +42,7 @@ Dataflow
   goes to worker ``seq % num_workers``); the final ψ write into the shared
   mailbox is serialised in strict batch order by a shared sequence counter,
   so the delivered-mail state is *identical* to single-process sequential
-  propagation (the equivalence tests pin this against the simulator, bit for
-  bit, for the deterministic ``fifo``/``newest_overwrite`` policies).
+  propagation (the equivalence tests pin this, bit for bit, for the deterministic ``fifo``/``newest_overwrite`` policies).
 * **Shard-local delivery**
   (:class:`~repro.storage.sharded_mailbox.ShardedMailbox`) — with a sharded
   mailbox and ``num_workers == num_shards``, worker ``w`` attaches *only*
@@ -166,7 +164,7 @@ class RuntimeConfig:
     trace_capacity: int = 32768
     # Late-event admission policy (a repro.analytics.WatermarkPolicy) for
     # the run's feature-store folds.  Scorer-side only — never shipped to
-    # workers; the simulator installs it on its FeatureProvider before the
+    # workers; the serving loop installs it on its FeatureProvider before the
     # first publish.  None: keep whatever policy the provider already has.
     watermark_policy: object | None = None
 

@@ -1,40 +1,33 @@
-"""End-to-end deployment of synchronous vs. asynchronous CTDG serving.
+"""The online decision service of Figure 2, measured end to end.
 
-This reproduces the scenario of Figure 2: a stream of transactions arrives at
-an online decision service which must score each one ("is it fraud?") before
-the transaction is allowed to complete.  Three deployment modes are compared
-on the same stream:
-
-* ``"synchronous"`` — the TGAT/TGN-style deployment (or APAN with its
-  propagation forced onto the critical path): the service must query the
-  graph for the k-hop temporal neighbours of both endpoints, aggregate, and
-  only then score.  Decision latency includes the (measured) state update.
-* ``"asynchronous-simulated"`` — APAN's deployment with the background link
-  *modelled* by the deterministic :class:`~repro.serving.queue.AsyncWorkQueue`:
-  propagation cost is measured, then charged to simulated background workers.
-  Fast and exactly reproducible, but it is a model of concurrency, not
-  concurrency.
-* ``"asynchronous-real"`` — APAN's deployment on the **real multi-process
-  runtime** (:class:`~repro.serving.runtime.ServingRuntime`): mail
-  propagation actually runs in worker processes that share the mailbox
-  arrays through ``multiprocessing.shared_memory``, with bounded-backlog
-  backpressure and a bounded-staleness watermark.  Decision latency is pure
-  measured wall time of the scorer path; every decision also records how
-  stale the mailbox snapshot it read was.
-
-Arriving transactions are drained from the ingress queue in micro-batches of
-``batch_size`` events, and each micro-batch is scored with **one** batched
+A stream of transactions arrives at an online decision service which must
+score each one ("is it fraud?") before the transaction is allowed to
+complete.  :class:`ServingLoop` drains the stream in micro-batches of
+``batch_size`` events and scores each micro-batch with **one** batched
 encoder call: ``compute_embeddings`` deduplicates every endpoint with
 :meth:`repro.core.mailbox.Mailbox.gather_many` and encodes the distinct nodes
 through :meth:`repro.core.encoder.APANEncoder.encode_many` in single array
-ops.  The report therefore separates the measured model compute per *scored
-micro-batch* (``mean_compute_ms`` — note: per batch of ``batch_size`` events,
-not per individual event) from the modelled storage cost, so encoder-side
-speedups are visible independently of the storage assumptions.
+ops.
 
-The simulated modes combine measured model compute with the
-:class:`~repro.serving.latency.StorageLatencyModel`'s storage costs and
-report decision latency percentiles plus the asynchronous backlog/staleness.
+The two :data:`SERVING_MODES` run the same loop and differ only in where the
+model's state update (mail propagation, for APAN) happens:
+
+* ``"inline"`` — ``model.update_state`` runs inside the timed decision, as in
+  Figure 2(a).  Every :class:`~repro.core.interfaces.TemporalEmbeddingModel`
+  can be served this way: it is TGN's and JODIE's only deployment, and APAN's
+  ablation with propagation forced onto the critical path.
+* ``"worker-pool"`` — APAN's asynchronous deployment of Figure 2(b) on the
+  real multi-process runtime (:class:`~repro.serving.runtime.ServingRuntime`):
+  after the decision, the scorer applies the cheap embedding-state updates
+  and submits mail propagation to worker processes that share the mailbox
+  arrays through ``multiprocessing.shared_memory``, with bounded-backlog
+  backpressure and a bounded-staleness watermark.  Needs a model with a
+  mailbox and a mail propagator.
+
+Every decision latency is measured wall time of the decision path; nothing
+modelled is ever added to it.  ``mean_compute_ms`` is the feature-lookup +
+encoder + scorer part of a decision, per scored *micro-batch* (not per
+event), so encoder-side speedups stay visible on their own.
 """
 
 from __future__ import annotations
@@ -49,13 +42,10 @@ from ..graph.batching import EventBatch, iterate_batches
 from ..graph.temporal_graph import TemporalGraph
 from ..nn.tensor import no_grad
 from ..obs import NULL_TELEMETRY, summarize
-from .latency import StorageLatencyModel
-from .queue import AsyncWorkQueue
 
-__all__ = ["FeatureProvider", "ServingReport", "DeploymentSimulator",
-           "SERVING_MODES"]
+__all__ = ["FeatureProvider", "ServingReport", "ServingLoop", "SERVING_MODES"]
 
-SERVING_MODES = ("synchronous", "asynchronous-simulated", "asynchronous-real")
+SERVING_MODES = ("inline", "worker-pool")
 
 
 class FeatureProvider:
@@ -63,7 +53,7 @@ class FeatureProvider:
 
     A feature provider lets every serving mode consult incrementally
     maintained per-node features *on* the decision path while their
-    maintenance stays *off* it.  The simulator calls, per scored
+    maintenance stays *off* it.  The serving loop calls, per scored
     micro-batch:
 
     * :meth:`lookup` — on the decision's critical path, before the encoder
@@ -74,8 +64,8 @@ class FeatureProvider:
     * :meth:`advance` — after the decision, publishing event rows
       ``[0, hi)`` to the provider's views (exactly-once fold maintenance).
 
-    :meth:`bind_telemetry` is called by the real runtime path so lookups
-    and advances report through the run's :mod:`repro.obs` spans
+    :meth:`bind_telemetry` is called by the serving loop so lookups and
+    advances report through the run's :mod:`repro.obs` spans
     (``features.lookup`` / ``features.advance``).  The base class is a
     no-op stub — :class:`repro.analytics.AnalyticsFeatureProvider` is the
     real implementation, backed by a
@@ -101,7 +91,7 @@ class FeatureProvider:
     def set_watermark_policy(self, policy) -> None:
         """Install a late-event :class:`~repro.analytics.WatermarkPolicy`.
 
-        Called by the simulator before serving starts when it was built
+        Called by the serving loop before serving starts when it was built
         with an explicit ``watermark_policy``.  No-op for the stub.
         """
 
@@ -112,14 +102,15 @@ class FeatureProvider:
 
 @dataclass
 class ServingReport:
-    """Latency report of one deployment run (simulated or real).
+    """Latency report of one serving run.
 
-    ``mean_staleness_ms``/``max_staleness_ms`` quantify how stale the mailbox
-    state behind the decisions was, in the run's own clock: delivery lag on
-    the simulation clock for ``asynchronous-simulated``, and the measured
-    wall-clock age of the oldest undelivered propagation task at mailbox-read
-    time for ``asynchronous-real``.  ``max_backlog`` is the propagation
-    backlog high-water mark in batches.
+    ``decision_latencies_ms`` holds one measured wall time per scored
+    micro-batch.  ``mean_staleness_ms``/``max_staleness_ms`` quantify how
+    stale the mailbox state behind the decisions was: the measured
+    wall-clock age of the oldest undelivered propagation task at
+    mailbox-read time in ``"worker-pool"`` mode, and zero ``"inline"``
+    (the state is always current there).  ``max_backlog`` is the
+    propagation backlog high-water mark in batches.
     """
 
     mode: str
@@ -190,26 +181,20 @@ def _percentile_report(mode: str, decision_latencies: list[float],
     )
 
 
-class DeploymentSimulator:
+class ServingLoop:
     """Serves a transaction stream with a temporal embedding model.
 
-    Despite the historical name this class drives both the *simulated*
-    deployments and the *real* multi-process runtime — ``run(mode=...)``
-    selects one of :data:`SERVING_MODES`.
+    A closed loop: each micro-batch is scored as soon as the previous one
+    is done.  ``run(mode=...)`` selects one of :data:`SERVING_MODES`.
     """
 
     def __init__(self, model: TemporalEmbeddingModel, graph: TemporalGraph,
-                 storage: StorageLatencyModel | None = None,
-                 batch_size: int = 200, async_workers: int = 2,
-                 async_work_factor: float = 1.0,
+                 batch_size: int = 200,
                  feature_provider: FeatureProvider | None = None,
                  watermark_policy=None):
         self.model = model
         self.graph = graph
-        self.storage = storage if storage is not None else StorageLatencyModel()
         self.batch_size = batch_size
-        self.async_workers = async_workers
-        self.async_work_factor = async_work_factor
         # Optional online feature store consulted on the decision path; its
         # view maintenance (advance) runs off the critical path per batch.
         self.feature_provider = feature_provider
@@ -218,140 +203,41 @@ class DeploymentSimulator:
         self.watermark_policy = watermark_policy
         if feature_provider is not None and watermark_policy is not None:
             feature_provider.set_watermark_policy(watermark_policy)
-        # After an "asynchronous-real" run with RuntimeConfig(telemetry=True),
-        # holds the run's Telemetry (private post-close copy): call
+        # After a "worker-pool" run with RuntimeConfig(telemetry=True), holds
+        # the run's Telemetry (private post-close copy): call
         # .write_chrome_trace(path) / .snapshot() on it.  None otherwise.
         self.last_telemetry = None
 
-    # ------------------------------------------------------------------ #
-    def _decision_storage_cost(self, batch: EventBatch, synchronous: bool) -> float:
-        """Storage milliseconds paid on the critical path for one batch."""
-        unique_nodes = len(batch.nodes)
-        if synchronous:
-            # k-hop neighbour fetches from the graph database for every
-            # endpoint (2 hops -> roughly 1 + num_neighbors requests each, but
-            # we charge one adjacency-list request per frontier node).
-            num_queries = unique_nodes * 2
-            return self.storage.graph_query_cost(num_queries)
-        # Mailbox reads from the key-value store only.
-        return self.storage.kv_read_cost(unique_nodes)
-
-    def _resolve_mode(self, synchronous: bool | None, mode: str | None) -> str:
-        if mode is not None:
-            if synchronous is not None:
-                raise ValueError("pass either mode= or synchronous=, not both")
-            if mode not in SERVING_MODES:
-                raise ValueError(f"mode must be one of {SERVING_MODES}, got {mode!r}")
-            return mode
-        if synchronous is None:
-            synchronous = self.model.synchronous_graph_query
-        return "synchronous" if synchronous else "asynchronous-simulated"
-
-    def run(self, max_batches: int | None = None,
-            synchronous: bool | None = None, mode: str | None = None,
+    def run(self, max_batches: int | None = None, mode: str = "inline",
             runtime_config=None) -> ServingReport:
         """Serve the event stream in one of :data:`SERVING_MODES`.
 
-        With neither ``mode`` nor ``synchronous`` given, the mode follows the
-        model's own ``synchronous_graph_query`` flag; passing
-        ``synchronous=True`` explicitly lets the benchmark compare "what if
-        APAN's propagation were forced onto the critical path" as an
-        ablation.  ``runtime_config`` (a
-        :class:`~repro.serving.runtime.RuntimeConfig`) only applies to
-        ``"asynchronous-real"``.
-        """
-        mode = self._resolve_mode(synchronous, mode)
-        if mode == "asynchronous-real":
-            return self._run_real(max_batches, runtime_config)
-        return self._run_simulated(max_batches, mode)
-
-    # ------------------------------------------------------------------ #
-    def _run_simulated(self, max_batches: int | None, mode: str) -> ServingReport:
-        synchronous = mode == "synchronous"
-        queue = AsyncWorkQueue(num_workers=self.async_workers)
-        provider = self.feature_provider
-
-        was_training = self.model.training
-        self.model.eval()
-        decision_latencies: list[float] = []
-        compute_latencies: list[float] = []
-        simulation_clock_ms = 0.0
-        num_events_served = 0
-
-        with no_grad():
-            for index, batch in enumerate(iterate_batches(self.graph, self.batch_size)):
-                if max_batches is not None and index >= max_batches:
-                    break
-
-                # --- synchronous decision path -------------------------------
-                # One batched encoder call scores the whole micro-batch of
-                # arrivals (see the module docstring).
-                begin = time.perf_counter()
-                if provider is not None:
-                    provider.lookup(batch)  # feature gathers: decision path
-                embeddings = self.model.compute_embeddings(batch)
-                logits = self.model.link_logits(embeddings.src, embeddings.dst)
-                compute_ms = (time.perf_counter() - begin) * 1000.0
-                compute_latencies.append(compute_ms)
-                storage_ms = self._decision_storage_cost(batch, synchronous)
-
-                # --- state update ---------------------------------------------
-                begin = time.perf_counter()
-                self.model.update_state(batch, embeddings)
-                update_ms = (time.perf_counter() - begin) * 1000.0 * self.async_work_factor
-
-                if synchronous:
-                    decision_ms = compute_ms + storage_ms + update_ms
-                else:
-                    decision_ms = compute_ms + storage_ms
-                    queue.submit(simulation_clock_ms + decision_ms, update_ms,
-                                 payload=index)
-
-                if provider is not None:
-                    # View maintenance rides off the decision's critical path.
-                    scores = np.asarray(logits.data, dtype=np.float64).reshape(-1)
-                    provider.observe_scores(batch, scores)
-                    provider.advance(int(batch.edge_ids[-1]) + 1)
-
-                decision_latencies.append(decision_ms)
-                num_events_served += len(batch)
-                simulation_clock_ms += decision_ms
-                queue.drain_until(simulation_clock_ms)
-
-        queue.flush()
-        self.model.train(was_training)
-
-        lags = [task.lag_ms for task in queue.completed_tasks]
-        return _percentile_report(
-            mode, decision_latencies, compute_latencies, num_events_served,
-            mean_async_lag_ms=queue.mean_lag_ms(),
-            mean_staleness_ms=float(np.mean(lags)) if lags else 0.0,
-            max_staleness_ms=float(np.max(lags)) if lags else 0.0,
-            max_backlog=queue.max_queue_depth_reached(),
-            **_late_extra(provider),
-        )
-
-    # ------------------------------------------------------------------ #
-    def _run_real(self, max_batches: int | None, runtime_config) -> ServingReport:
-        """Serve on the real multi-process runtime (measured wall time only).
-
-        The scorer (this process) reads the shared mailbox, encodes, scores
-        and applies the cheap embedding-state updates; the heavy mail
-        propagation is submitted to the worker pool.  Each decision records
-        the wall-clock staleness of the mailbox snapshot it read — the age
-        of the oldest propagation task still undelivered at read time (the
-        stream-time watermark gap stays available via
+        ``runtime_config`` (a :class:`~repro.serving.runtime.RuntimeConfig`)
+        only applies to ``"worker-pool"``.  In that mode each decision also
+        records the wall-clock staleness of the mailbox snapshot it read —
+        the age of the oldest propagation task still undelivered at read
+        time (the stream-time watermark gap stays available via
         :meth:`~repro.serving.runtime.ServingRuntime.staleness`).
         """
-        from .runtime import RuntimeConfig, ServingRuntime  # local: keep import cheap
+        if mode not in SERVING_MODES:
+            raise ValueError(f"mode must be one of {SERVING_MODES}, got {mode!r}")
+        provider = self.feature_provider
+        runtime = None
+        if mode == "worker-pool":
+            from .runtime import RuntimeConfig, ServingRuntime  # local: keep import cheap
 
-        config = runtime_config or RuntimeConfig(num_workers=self.async_workers)
-        if self.feature_provider is not None and \
-                config.watermark_policy is not None:
-            # Config-level policy wins for this run (raises if the provider
-            # already folded rows under a different policy).
-            self.feature_provider.set_watermark_policy(config.watermark_policy)
-        runtime = ServingRuntime.for_model(self.model, config)
+            config = runtime_config or RuntimeConfig()
+            if provider is not None and config.watermark_policy is not None:
+                # Config-level policy wins for this run (raises if the provider
+                # already folded rows under a different policy).
+                provider.set_watermark_policy(config.watermark_policy)
+            runtime = ServingRuntime.for_model(self.model, config)
+            first_time = float(self.graph.timestamps[0]) if self.graph.num_events else 0.0
+            runtime.start(initial_watermark=first_time)
+        telemetry = runtime.telemetry if runtime is not None else NULL_TELEMETRY
+        if provider is not None:
+            # Feature lookups/advances report through this run's spans.
+            provider.bind_telemetry(telemetry)
 
         was_training = self.model.training
         self.model.eval()
@@ -359,52 +245,50 @@ class DeploymentSimulator:
         compute_latencies: list[float] = []
         staleness: list[float] = []
         num_events_served = 0
-
-        first_time = float(self.graph.timestamps[0]) if self.graph.num_events else 0.0
-        runtime.start(initial_watermark=first_time)
-        telemetry = runtime.telemetry
-        provider = self.feature_provider
-        if provider is not None:
-            # Feature lookups/advances report through this run's spans.
-            provider.bind_telemetry(telemetry)
+        mean_lag_ms, max_backlog = 0.0, 0
         try:
             with no_grad():
                 for index, batch in enumerate(iterate_batches(self.graph, self.batch_size)):
                     if max_batches is not None and index >= max_batches:
                         break
 
-                    # --- synchronous decision path (all measured) ------------
+                    # --- decision path: everything in here is timed ----------
                     with telemetry.span("scorer.decision") as decision_span:
-                        snapshot = runtime.staleness()  # staleness of the read below
+                        # Staleness of the mailbox read below.
+                        staleness.append(runtime.staleness().staleness_ms
+                                         if runtime is not None else 0.0)
                         begin = time.perf_counter()
                         if provider is not None:
                             provider.lookup(batch)  # features: decision path
                         with telemetry.span("scorer.encode", arg=len(batch)):
                             embeddings = self.model.compute_embeddings(batch)
                         logits = self.model.link_logits(embeddings.src, embeddings.dst)
-                        compute_ms = (time.perf_counter() - begin) * 1000.0
-                        decision_span.set_arg(compute_ms)
+                        compute_ms = decision_ms = (time.perf_counter() - begin) * 1000.0
+                        if runtime is None:  # inline: the update is on the path
+                            self.model.update_state(batch, embeddings)
+                            decision_ms = (time.perf_counter() - begin) * 1000.0
+                        decision_span.set_arg(decision_ms)
                     compute_latencies.append(compute_ms)
-                    storage_ms = self._decision_storage_cost(batch, synchronous=False)
-                    decision_latencies.append(compute_ms + storage_ms)
-                    staleness.append(snapshot.staleness_ms)
+                    decision_latencies.append(decision_ms)
                     num_events_served += len(batch)
 
-                    # --- asynchronous path: off the decision's critical path -
-                    self.model.apply_embedding_updates(batch, embeddings)
-                    runtime.submit(batch, embeddings.src.data, embeddings.dst.data)
+                    # --- off the decision's critical path --------------------
+                    if runtime is not None:
+                        self.model.apply_embedding_updates(batch, embeddings)
+                        runtime.submit(batch, embeddings.src.data, embeddings.dst.data)
                     if provider is not None:
-                        scores = np.asarray(logits.data,
-                                            dtype=np.float64).reshape(-1)
+                        scores = np.asarray(logits.data, dtype=np.float64).reshape(-1)
                         provider.observe_scores(batch, scores)
                         provider.advance(int(batch.edge_ids[-1]) + 1)
-            runtime.drain()
-            mean_lag_ms = runtime.mean_delivery_lag_ms()
-            max_backlog = runtime.max_backlog_seen
+            if runtime is not None:
+                runtime.drain()
+                mean_lag_ms = runtime.mean_delivery_lag_ms()
+                max_backlog = runtime.max_backlog_seen
         finally:
-            # The success path drained above; don't re-drain here, where a
-            # stuck backlog after an error would mask the original exception.
-            runtime.close(drain=False)
+            if runtime is not None:
+                # The success path drained above; don't re-drain here, where a
+                # stuck backlog after an error would mask the original exception.
+                runtime.close(drain=False)
             self.model.train(was_training)
             if provider is not None:
                 provider.bind_telemetry(NULL_TELEMETRY)
@@ -413,8 +297,7 @@ class DeploymentSimulator:
             self.last_telemetry = telemetry if telemetry.enabled else None
 
         return _percentile_report(
-            "asynchronous-real", decision_latencies, compute_latencies,
-            num_events_served,
+            mode, decision_latencies, compute_latencies, num_events_served,
             mean_async_lag_ms=mean_lag_ms,
             mean_staleness_ms=float(np.mean(staleness)) if staleness else 0.0,
             max_staleness_ms=float(np.max(staleness)) if staleness else 0.0,
@@ -422,7 +305,6 @@ class DeploymentSimulator:
             **_late_extra(provider),
         )
 
-    # ------------------------------------------------------------------ #
     def compare_modes(self, max_batches: int | None = None,
                       modes: tuple = SERVING_MODES,
                       runtime_config=None) -> dict[str, ServingReport]:

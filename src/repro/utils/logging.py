@@ -1,4 +1,4 @@
-"""A tiny structured run logger used by the trainers and the serving simulator."""
+"""A tiny structured run logger used by the trainers and the serving loop."""
 
 from __future__ import annotations
 

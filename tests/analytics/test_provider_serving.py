@@ -1,8 +1,8 @@
-"""AnalyticsFeatureProvider wired into the deployment simulator.
+"""AnalyticsFeatureProvider wired into the serving loop.
 
 Pins the FeatureProvider seam: features are consulted on the decision path
 in every serving mode, view maintenance advances exactly once per served
-prefix, and on the real runtime the lookups/advances surface as
+prefix, and on the worker pool the lookups/advances surface as
 ``features.lookup`` / ``features.advance`` telemetry spans.
 """
 
@@ -17,7 +17,7 @@ from repro.analytics import (
 )
 from repro.core import APAN, APANConfig
 from repro.graph.batching import iterate_batches
-from repro.serving import DeploymentSimulator, FeatureProvider, RuntimeConfig
+from repro.serving import FeatureProvider, RuntimeConfig, ServingLoop
 
 
 @pytest.fixture
@@ -56,9 +56,9 @@ class TestFeatureProviderBase:
         assert provider.observe_scores(batch=None, scores=None) is None
         assert provider.advance(7) == 7
 
-    def test_simulator_without_provider_unchanged(self, apan, tiny_graph):
-        report = DeploymentSimulator(apan, tiny_graph,
-                                     batch_size=64).run(max_batches=2)
+    def test_loop_without_provider_unchanged(self, apan, tiny_graph):
+        report = ServingLoop(apan, tiny_graph,
+                             batch_size=64).run(max_batches=2)
         assert report.num_decisions == 128
 
 
@@ -78,20 +78,19 @@ class TestLookupMatrix:
         assert np.all(fresh.lookup(batch) == 0.0)
 
 
-class TestSimulatedModes:
-    @pytest.mark.parametrize("mode", ["synchronous", "asynchronous-simulated"])
-    def test_provider_advances_with_served_prefix(self, apan, tiny_graph, mode):
+class TestInlineMode:
+    def test_provider_advances_with_served_prefix(self, apan, tiny_graph):
         provider = make_provider(tiny_graph)
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=64,
-                                        feature_provider=provider)
-        report = simulator.run(max_batches=3, mode=mode)
+        loop = ServingLoop(apan, tiny_graph, batch_size=64,
+                           feature_provider=provider)
+        report = loop.run(max_batches=3, mode="inline")
         assert provider.folded == report.num_decisions == 192
         assert_provider_matches_oracle(provider, tiny_graph)
 
     def test_topk_tracks_scorer_outputs(self, apan, tiny_graph):
         provider = make_provider(tiny_graph, top_k=5)
-        DeploymentSimulator(apan, tiny_graph, batch_size=64,
-                            feature_provider=provider).run(max_batches=3)
+        ServingLoop(apan, tiny_graph, batch_size=64,
+                    feature_provider=provider).run(max_batches=3)
         top = provider.top_risks()
         assert 0 < len(top) <= 5
         scores = [score for _, score in top]
@@ -100,12 +99,12 @@ class TestSimulatedModes:
 
     def test_compare_modes_replays_are_idempotent(self, apan, tiny_graph):
         provider = make_provider(tiny_graph)
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=64,
-                                        feature_provider=provider)
-        reports = simulator.compare_modes(
-            max_batches=2, modes=("synchronous", "asynchronous-simulated"))
-        assert set(reports) == {"synchronous", "asynchronous-simulated"}
-        # The second mode re-serves the same prefix: every advance is a
+        loop = ServingLoop(apan, tiny_graph, batch_size=64,
+                           feature_provider=provider)
+        for _ in range(2):
+            reports = loop.compare_modes(max_batches=2, modes=("inline",))
+            assert set(reports) == {"inline"}
+        # The second replay re-serves the same prefix: every advance is a
         # no-op, no row folds twice.
         assert provider.folded == 128
         assert_provider_matches_oracle(provider, tiny_graph)
@@ -114,28 +113,28 @@ class TestSimulatedModes:
         import json
 
         provider = make_provider(tiny_graph)
-        DeploymentSimulator(apan, tiny_graph, batch_size=64,
-                            feature_provider=provider).run(max_batches=2)
+        ServingLoop(apan, tiny_graph, batch_size=64,
+                    feature_provider=provider).run(max_batches=2)
         snapshot = provider.snapshot()
         assert snapshot["rows_folded"] == 128
         assert snapshot["memory_bytes"] > 0
         json.dumps(snapshot)  # must round-trip for reports/examples
 
 
-class TestRealRuntime:
+class TestWorkerPool:
     @pytest.mark.slow
     def test_lookups_and_advances_appear_as_spans(self, apan, tiny_graph):
         provider = make_provider(tiny_graph)
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=64,
-                                        feature_provider=provider)
-        report = simulator.run(
-            max_batches=3, mode="asynchronous-real",
+        loop = ServingLoop(apan, tiny_graph, batch_size=64,
+                           feature_provider=provider)
+        report = loop.run(
+            max_batches=3, mode="worker-pool",
             runtime_config=RuntimeConfig(num_workers=1, telemetry=True))
         assert report.num_decisions == 192
         assert provider.folded == 192
         assert_provider_matches_oracle(provider, tiny_graph)
 
-        telemetry = simulator.last_telemetry
+        telemetry = loop.last_telemetry
         assert telemetry is not None
         span_names = {event["name"] for event in telemetry.chrome_events()
                       if event.get("ph") == "X"}

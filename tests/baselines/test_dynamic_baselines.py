@@ -151,14 +151,32 @@ class TestDynamicBaselineContract:
                    for p in model.link_decoder.parameters())
 
 
-class TestModelSpecificBehaviour:
-    def test_jodie_does_not_query_graph(self):
-        assert JODIE.synchronous_graph_query is False
+def embed_after_history(model, batch_factory, spy_calls):
+    """Ingest one batch, then embed a later one; the graph reads of the latter."""
+    first = batch_factory(num_events=8, num_nodes=20, feature_dim=8, seed=0)
+    second = batch_factory(num_events=8, num_nodes=20, feature_dim=8, seed=1,
+                           start_time=200.0)
+    with no_grad():
+        model.update_state(first, model.compute_embeddings(first))
+        spy_calls.clear()
+        model.compute_embeddings(second)
+    return list(spy_calls)
 
-    def test_tgn_tgat_dyrep_query_graph(self):
-        assert TGN.synchronous_graph_query is True
-        assert TGAT.synchronous_graph_query is True
-        assert DyRep.synchronous_graph_query is True
+
+class TestModelSpecificBehaviour:
+    def test_jodie_does_not_query_graph(self, event_batch_factory,
+                                        graph_query_spy):
+        model = JODIE(20, 8, seed=0)
+        assert embed_after_history(model, event_batch_factory, graph_query_spy) == []
+
+    @pytest.mark.parametrize(
+        "factory", [factory for name, factory in DYNAMIC_MODELS if name != "jodie"],
+        ids=[name for name, _ in DYNAMIC_MODELS if name != "jodie"])
+    def test_tgn_tgat_dyrep_query_graph(self, factory, event_batch_factory,
+                                        graph_query_spy):
+        """Their embeddings need the temporal neighbourhood on the decision path."""
+        model = factory(20, 8)
+        assert embed_after_history(model, event_batch_factory, graph_query_spy)
 
     def test_jodie_projection_changes_with_time(self, event_batch_factory):
         model = JODIE(20, 8, seed=0)

@@ -68,3 +68,25 @@ def make_event_batch(num_events=8, num_nodes=20, feature_dim=16, seed=0, start_t
 @pytest.fixture
 def event_batch_factory():
     return make_event_batch
+
+
+@pytest.fixture
+def graph_query_spy(monkeypatch):
+    """Records every temporal-neighbourhood read against any TemporalGraph.
+
+    Returns the list the reads are appended to (by method name): per-node
+    history scans (``node_events``) and adjacency-index reads (``adjacency``,
+    ``csr_view``) — the queries a graph database would serve.
+    """
+    from repro.graph.temporal_graph import TemporalGraph
+
+    calls = []
+    for name in ("node_events", "adjacency", "csr_view"):
+        original = getattr(TemporalGraph, name)
+
+        def spy(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TemporalGraph, name, spy)
+    return calls

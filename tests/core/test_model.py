@@ -19,8 +19,19 @@ class TestConstruction:
         model = small_model(dim=12)
         assert model.embedding_dim == 12
 
-    def test_no_graph_query_flag(self):
-        assert small_model().synchronous_graph_query is False
+    def test_inference_does_not_query_graph(self, event_batch_factory,
+                                            graph_query_spy):
+        """Only propagation reads the graph; embeddings read the mailbox."""
+        model = small_model(num_nodes=20)
+        first = event_batch_factory(num_events=8, num_nodes=20, feature_dim=8)
+        second = event_batch_factory(num_events=8, num_nodes=20, feature_dim=8,
+                                     seed=1, start_time=200.0)
+        with no_grad():
+            model.update_state(first, model.compute_embeddings(first))
+            assert graph_query_spy  # propagation sampled the neighbourhood
+            graph_query_spy.clear()
+            model.compute_embeddings(second)
+        assert graph_query_spy == []
 
     def test_has_all_heads(self):
         model = small_model()

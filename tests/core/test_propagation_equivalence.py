@@ -30,7 +30,7 @@ from repro.core.propagator import (
     VectorizedPropagator,
 )
 from repro.graph.batching import EventBatch, iterate_batches
-from repro.serving.service import DeploymentSimulator
+from repro.serving.service import ServingLoop
 
 ATOL = 1e-9
 
@@ -184,7 +184,7 @@ class TestEngineWiring:
         with pytest.raises(ValueError):
             APANConfig(propagation_engine="fused").validate()
 
-    def test_deployment_simulator_state_matches_across_engines(self, tiny_graph):
+    def test_serving_loop_state_matches_across_engines(self, tiny_graph):
         """Streaming through the serving path leaves equivalent mailboxes."""
         reports = {}
         models = {}
@@ -193,8 +193,8 @@ class TestEngineWiring:
                                 mlp_hidden_dim=16, dropout=0.0, seed=0,
                                 propagation_engine=engine)
             model = APAN(tiny_graph.num_nodes, tiny_graph.edge_feature_dim, config)
-            simulator = DeploymentSimulator(model, tiny_graph, batch_size=50)
-            reports[engine] = simulator.run(max_batches=4)
+            loop = ServingLoop(model, tiny_graph, batch_size=50)
+            reports[engine] = loop.run(max_batches=4)
             models[engine] = model
         assert reports["vectorized"].num_decisions == reports["reference"].num_decisions
         reference_box = models["reference"].mailbox

@@ -17,7 +17,7 @@ from repro.eval import (
     evaluate_node_classification,
     measure_inference_latency,
 )
-from repro.serving import DeploymentSimulator, StorageLatencyModel
+from repro.serving import ServingLoop
 
 
 @pytest.fixture(scope="module")
@@ -102,18 +102,17 @@ class TestLatencyRelationships:
         # Within 60% of each other (they share an identical critical path).
         assert latencies[1] < latencies[0] * 1.6
 
-    def test_serving_simulation_shows_async_advantage(self, medium_dataset):
+    def test_serving_loop_shows_apan_advantage(self, medium_dataset):
+        """Measured, both inline: APAN's decision beats TGN's even with its
+        propagation on the critical path."""
         graph = medium_dataset.to_temporal_graph()
-        storage = StorageLatencyModel(graph_query_ms=8.0, kv_read_ms=0.4, jitter=0.0, seed=0)
         apan = APAN(medium_dataset.num_nodes, medium_dataset.edge_feature_dim,
                     APANConfig(num_mailbox_slots=6, num_neighbors=6,
                                mlp_hidden_dim=32, seed=0))
         tgn = TGN(medium_dataset.num_nodes, medium_dataset.edge_feature_dim,
                   num_layers=1, num_neighbors=6, seed=0)
-        apan_report = DeploymentSimulator(apan, graph, storage=storage,
-                                          batch_size=100).run(max_batches=4)
-        tgn_report = DeploymentSimulator(tgn, graph, storage=storage,
-                                         batch_size=100).run(max_batches=4)
+        apan_report = ServingLoop(apan, graph, batch_size=100).run(max_batches=4)
+        tgn_report = ServingLoop(tgn, graph, batch_size=100).run(max_batches=4)
         assert apan_report.mean_decision_ms < tgn_report.mean_decision_ms
 
 

@@ -46,7 +46,7 @@ class TestExactEquivalence:
         rng = np.random.default_rng(7)
         latencies = list(rng.exponential(5.0, size=251))
         from repro.serving.service import _percentile_report
-        report = _percentile_report("synchronous", latencies, [1.0, 2.0], 251,
+        report = _percentile_report("inline", latencies, [1.0, 2.0], 251,
                                     mean_async_lag_ms=0.0)
         arr = np.asarray(latencies)
         assert report.mean_decision_ms == float(arr.mean())

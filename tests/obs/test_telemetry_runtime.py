@@ -20,11 +20,10 @@ from repro.core.propagator import MailPropagator
 from repro.graph.batching import EventBatch
 from repro.obs import NULL_TELEMETRY
 from repro.serving import (
-    DeploymentSimulator,
     PropagatorSpec,
     RuntimeConfig,
+    ServingLoop,
     ServingRuntime,
-    StorageLatencyModel,
 )
 
 NUM_NODES = 200
@@ -189,7 +188,7 @@ class TestRuntimeMetrics:
         assert runtime.telemetry.chrome_events() == []
 
 
-class TestSimulatorIntegration:
+class TestServingLoopIntegration:
     @pytest.fixture
     def apan(self, tiny_dataset):
         return APAN(tiny_dataset.num_nodes, tiny_dataset.edge_feature_dim,
@@ -197,14 +196,11 @@ class TestSimulatorIntegration:
                                mlp_hidden_dim=16, seed=0))
 
     def test_last_telemetry_exposes_scorer_spans(self, apan, tiny_graph, tmp_path):
-        storage = StorageLatencyModel(graph_query_ms=0.0, kv_read_ms=0.0,
-                                      jitter=0.0, seed=0)
-        simulator = DeploymentSimulator(apan, tiny_graph, storage=storage,
-                                        batch_size=50)
-        report = simulator.run(
-            max_batches=6, mode="asynchronous-real",
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
+        report = loop.run(
+            max_batches=6, mode="worker-pool",
             runtime_config=RuntimeConfig(num_workers=2, telemetry=True))
-        telemetry = simulator.last_telemetry
+        telemetry = loop.last_telemetry
         assert telemetry is not None and telemetry.enabled
         assert report.num_decisions == 6 * 50
         span_names = {e["name"] for e in telemetry.chrome_events()
@@ -218,7 +214,16 @@ class TestSimulatorIntegration:
         assert document["traceEvents"]
 
     def test_last_telemetry_none_without_flag(self, apan, tiny_graph):
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=50)
-        simulator.run(max_batches=2, mode="asynchronous-real",
-                      runtime_config=RuntimeConfig(num_workers=1))
-        assert simulator.last_telemetry is None
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
+        loop.run(max_batches=2, mode="worker-pool",
+                 runtime_config=RuntimeConfig(num_workers=1))
+        assert loop.last_telemetry is None
+
+    def test_inline_run_records_no_telemetry(self, apan, tiny_graph):
+        """Inline mode has no runtime; a telemetry config does not apply."""
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
+        report = loop.run(max_batches=2, mode="inline",
+                          runtime_config=RuntimeConfig(num_workers=1,
+                                                       telemetry=True))
+        assert report.num_decisions == 2 * 50
+        assert loop.last_telemetry is None

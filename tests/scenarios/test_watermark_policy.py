@@ -7,10 +7,10 @@ Three layers, bottom-up:
   one-shot recompute oracle bit for bit on out-of-order streams (hypothesis),
   and the ``late_admitted``/``late_dropped`` counters match the counts
   computable from the stream's own lateness profile;
-* the serving path end-to-end: a :class:`DeploymentSimulator` over the
+* the serving path end-to-end: a :class:`ServingLoop` over the
   ``late_events`` scenario reports exactly the accounting predicted from
-  ``TemporalDataset.lateness()`` + the policy, in simulated modes and (slow)
-  on the real multi-process runtime.
+  ``TemporalDataset.lateness()`` + the policy, ``inline`` and (slow) on the
+  multi-process worker pool.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.analytics import (
 )
 from repro.core import APAN, APANConfig
 from repro.scenarios import late_events
-from repro.serving import DeploymentSimulator, RuntimeConfig
+from repro.serving import RuntimeConfig, ServingLoop
 
 
 def expected_accounting(dataset, policy):
@@ -157,21 +157,20 @@ def serve(dataset, policy, mode, runtime_config=None):
     model = APAN(dataset.num_nodes, dataset.edge_feature_dim,
                  APANConfig(num_mailbox_slots=4, num_neighbors=4,
                             mlp_hidden_dim=16, seed=0))
-    simulator = DeploymentSimulator(model, graph, batch_size=100,
-                                    feature_provider=provider,
-                                    watermark_policy=policy)
-    report = simulator.run(mode=mode, runtime_config=runtime_config)
+    loop = ServingLoop(model, graph, batch_size=100,
+                       feature_provider=provider,
+                       watermark_policy=policy)
+    report = loop.run(mode=mode, runtime_config=runtime_config)
     return provider, report
 
 
 class TestServingRegression:
-    @pytest.mark.parametrize("mode", ["synchronous", "asynchronous-simulated"])
     @pytest.mark.parametrize("policy", POLICIES, ids=str)
-    def test_simulated_report_matches_predicted_accounting(self, late_stream,
-                                                           policy, mode):
+    def test_inline_report_matches_predicted_accounting(self, late_stream,
+                                                        policy):
         dataset, spec = late_stream
         admitted, dropped = expected_accounting(dataset, policy)
-        provider, report = serve(dataset, policy, mode)
+        provider, report = serve(dataset, policy, "inline")
         assert report.watermark_policy == str(policy)
         assert report.late_admitted == admitted
         assert report.late_dropped == dropped
@@ -190,7 +189,7 @@ class TestServingRegression:
 
     def test_policy_cannot_change_mid_stream(self, late_stream):
         dataset, _ = late_stream
-        provider, _ = serve(dataset, WatermarkPolicy.admit(), "synchronous")
+        provider, _ = serve(dataset, WatermarkPolicy.admit(), "inline")
         with pytest.raises(RuntimeError, match="cannot change"):
             provider.set_watermark_policy(WatermarkPolicy.drop())
         # Re-installing the same policy stays a no-op.
@@ -199,7 +198,7 @@ class TestServingRegression:
     def test_report_dict_carries_accounting(self, late_stream):
         dataset, _ = late_stream
         policy = WatermarkPolicy.fold_late(3000.0)
-        _, report = serve(dataset, policy, "asynchronous-simulated")
+        _, report = serve(dataset, policy, "inline")
         record = report.as_dict()
         assert record["watermark_policy"] == "fold-late(3000)"
         assert record["late_admitted"] == report.late_admitted
@@ -208,15 +207,15 @@ class TestServingRegression:
     @pytest.mark.slow
     @pytest.mark.parametrize("policy", [WatermarkPolicy.fold_late(3000.0),
                                         WatermarkPolicy.drop()], ids=str)
-    def test_real_runtime_matches_predicted_accounting(self, late_stream,
-                                                       policy):
+    def test_worker_pool_matches_predicted_accounting(self, late_stream,
+                                                      policy):
         dataset, _ = late_stream
         admitted, dropped = expected_accounting(dataset, policy)
         provider, report = serve(
-            dataset, policy, "asynchronous-real",
+            dataset, policy, "worker-pool",
             runtime_config=RuntimeConfig(num_workers=1,
                                          watermark_policy=policy))
-        assert report.mode == "asynchronous-real"
+        assert report.mode == "worker-pool"
         assert report.watermark_policy == str(policy)
         assert report.late_admitted == admitted
         assert report.late_dropped == dropped

@@ -3,7 +3,7 @@
 The load-bearing guarantee is *equivalence*: the delivered-mail state after
 streaming a batch sequence through the concurrent worker pool must be
 bit-for-bit identical to sequential single-process propagation (and therefore
-to the deterministic simulator), for the deterministic update policies.  The
+to the inline serving mode), for the deterministic update policies.  The
 rest covers the operational contract: bounded backlog under backpressure,
 staleness reporting, graceful drain, SIGTERM flush, and failure detection.
 """
@@ -20,11 +20,10 @@ from repro.core.mailbox import Mailbox
 from repro.core.propagator import MailPropagator
 from repro.graph.batching import EventBatch
 from repro.serving import (
-    DeploymentSimulator,
     PropagatorSpec,
     RuntimeConfig,
+    ServingLoop,
     ServingRuntime,
-    StorageLatencyModel,
 )
 
 NUM_NODES = 300
@@ -305,42 +304,36 @@ class TestServiceIntegration:
                     APANConfig(num_mailbox_slots=4, num_neighbors=4,
                                mlp_hidden_dim=16, seed=0))
 
-    def test_real_mode_report(self, apan, tiny_graph):
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=50)
-        report = simulator.run(max_batches=4, mode="asynchronous-real",
-                               runtime_config=RuntimeConfig(num_workers=1,
-                                                            max_backlog=4))
-        assert report.mode == "asynchronous-real"
+    def test_worker_pool_report(self, apan, tiny_graph):
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
+        report = loop.run(max_batches=4, mode="worker-pool",
+                          runtime_config=RuntimeConfig(num_workers=1,
+                                                       max_backlog=4))
+        assert report.mode == "worker-pool"
         assert report.num_decisions == 4 * 50
         assert report.mean_decision_ms > 0.0
         assert report.max_backlog >= 1
         assert report.mean_staleness_ms >= 0.0
         assert report.max_staleness_ms >= report.mean_staleness_ms
 
-    def test_mode_and_synchronous_are_exclusive(self, apan, tiny_graph):
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=50)
-        with pytest.raises(ValueError, match="not both"):
-            simulator.run(max_batches=1, mode="synchronous", synchronous=True)
-
     def test_unknown_mode_rejected(self, apan, tiny_graph):
-        simulator = DeploymentSimulator(apan, tiny_graph, batch_size=50)
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
         with pytest.raises(ValueError):
-            simulator.run(max_batches=1, mode="asynchronous-psychic")
+            loop.run(max_batches=1, mode="asynchronous-psychic")
 
-    def test_real_mode_routing_matches_simulated(self, apan, tiny_graph):
-        """Mailbox routing metadata is identical between simulated and real.
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    def test_worker_pool_routing_matches_inline(self, apan, tiny_graph,
+                                                num_workers):
+        """Mailbox routing metadata is identical between inline and the pool.
 
-        Mail *values* legitimately differ (the real runtime reads a staler
-        mailbox when computing embeddings, and mails embed those embeddings)
-        but slot occupancy, delivery times and counters depend only on the
-        stream's topology — byte-equal across both async modes.
+        Mail *values* legitimately differ (the worker pool lets the scorer
+        read a staler mailbox when computing embeddings, and mails embed
+        those embeddings) but slot occupancy, delivery times and counters
+        depend only on the stream's topology — byte-equal across both modes.
         """
-        storage = StorageLatencyModel(graph_query_ms=0.0, kv_read_ms=0.0,
-                                      jitter=0.0, seed=0)
-        simulator = DeploymentSimulator(apan, tiny_graph, storage=storage,
-                                        batch_size=50)
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
         apan.reset_state()
-        simulator.run(max_batches=8, mode="asynchronous-simulated")
+        loop.run(max_batches=8, mode="inline")
         reference = {
             "valid": apan.mailbox.valid.copy(),
             "times": apan.mailbox.mail_times.copy(),
@@ -348,23 +341,20 @@ class TestServiceIntegration:
             "delivered": apan.mailbox._delivered.copy(),
         }
         apan.reset_state()
-        simulator.run(max_batches=8, mode="asynchronous-real",
-                      runtime_config=RuntimeConfig(num_workers=2, max_backlog=4))
+        loop.run(max_batches=8, mode="worker-pool",
+                 runtime_config=RuntimeConfig(num_workers=num_workers,
+                                              max_backlog=4))
         assert np.array_equal(reference["valid"], apan.mailbox.valid)
         assert np.array_equal(reference["times"], apan.mailbox.mail_times)
         assert np.array_equal(reference["next_slot"], apan.mailbox._next_slot)
         assert np.array_equal(reference["delivered"], apan.mailbox._delivered)
 
-    def test_compare_modes_covers_all_three(self, apan, tiny_graph):
-        storage = StorageLatencyModel(graph_query_ms=0.5, kv_read_ms=0.1,
-                                      jitter=0.0, seed=0)
-        simulator = DeploymentSimulator(apan, tiny_graph, storage=storage,
-                                        batch_size=50)
-        reports = simulator.compare_modes(
+    def test_compare_modes_covers_both(self, apan, tiny_graph):
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
+        reports = loop.compare_modes(
             max_batches=3,
             runtime_config=RuntimeConfig(num_workers=1, max_backlog=4))
-        assert set(reports) == {"synchronous", "asynchronous-simulated",
-                                "asynchronous-real"}
+        assert set(reports) == {"inline", "worker-pool"}
         for mode, report in reports.items():
             assert report.mode == mode
             assert report.num_decisions == 3 * 50
