@@ -12,7 +12,8 @@ test-fast:
 	$(PYTHON) -m pytest -q tests/
 
 ## Prove the vectorized propagation + encoder engines match their reference
-## engines.
+## engines (byte-equal mailboxes), plus the hypothesis property suites.  CI
+## runs this target, so the file list lives here only.
 equivalence:
 	$(PYTHON) -m pytest -q tests/core/test_propagation_equivalence.py \
 		tests/core/test_encoder_equivalence.py tests/property/

@@ -4,10 +4,12 @@ The vectorized engine is the tentpole of the "make the asynchronous half
 fast" work: it replaces the per-event, per-neighbor Python routing loop with
 whole-frontier array ops.  This benchmark streams a synthetic 10k-event
 workload through both engines with the paper-default propagation settings
-(2 hops, 10 neighbours, 10 slots, batch 200) and asserts the speedup floor
-that future PRs must not regress below.  The measured numbers are written to
-``BENCH_propagation.json`` at the repo root so the perf trajectory is
-recorded alongside the code (see ``make bench``).
+(2 hops, 10 neighbours, 10 slots, batch 200) as ``THROUGHPUT_PAIRS``
+back-to-back reference/vectorized pairs, and asserts that the median paired
+speedup stays above the floor future PRs must not regress below (a pair
+shares the machine's load of the moment, so a slow spell cancels out).  The
+measured numbers are written to ``BENCH_propagation.json`` at the repo root
+so the perf trajectory is recorded alongside the code (see ``make bench``).
 
 A second guard pins what that engine stands on: maintaining the temporal
 adjacency index and sampling from it must cost the same per 200-event batch
@@ -47,10 +49,12 @@ NUM_EVENTS = 10_000
 NUM_NODES = 2_000
 FEATURE_DIM = 16
 BATCH_SIZE = 200
-# Measured locally: reference ~16k events/s, vectorized ~76k events/s (~4.8x).
-# The floor is deliberately below the measured ratio so CI noise cannot flake,
-# while still failing if the fast path ever degenerates to per-event work.
-MIN_SPEEDUP = 3.0
+# Measured on a 2-core x86 VM with sort-based routing and ρ: median paired
+# speedup 11.0-12.5x (reference 8-11k events/s; the np.isin/np.unique routing
+# before it measured ~7.5x).  The floor is ~0.6x the measured ratio: scheduler
+# noise stays above it, a 2x slowdown of the fast path does not.
+MIN_SPEEDUP = 7.0
+THROUGHPUT_PAIRS = 5
 
 FOLD_BASE_EVENTS = int(os.environ.get("FOLD_BENCH_EVENTS", 30_000))
 FOLD_SCALE = int(os.environ.get("FOLD_BENCH_SCALE", 10))
@@ -96,14 +100,19 @@ def measure_events_per_second(engine: str) -> float:
 
 @pytest.fixture(scope="module")
 def throughput():
-    return {engine: measure_events_per_second(engine)
-            for engine in ("reference", "vectorized")}
+    """Per-engine events/s of every back-to-back pair."""
+    pairs = [(measure_events_per_second("reference"),
+              measure_events_per_second("vectorized"))
+             for _ in range(THROUGHPUT_PAIRS)]
+    reference, vectorized = map(np.array, zip(*pairs))
+    return reference, vectorized
 
 
 def test_propagation_throughput(throughput):
-    reference = throughput["reference"]
-    vectorized = throughput["vectorized"]
-    speedup = vectorized / reference
+    references, vectorizeds = throughput
+    reference = float(np.median(references))
+    vectorized = float(np.median(vectorizeds))
+    speedup = float(np.median(vectorizeds / references))
     record = {
         "workload": {
             "num_events": NUM_EVENTS, "num_nodes": NUM_NODES,
@@ -114,10 +123,12 @@ def test_propagation_throughput(throughput):
         "vectorized_events_per_sec": round(vectorized, 1),
         "speedup": round(speedup, 2),
         "min_speedup_asserted": MIN_SPEEDUP,
+        "pairs": THROUGHPUT_PAIRS,
+        "paired_speedups": np.round(vectorizeds / references, 2).tolist(),
     }
     write_bench_record(_RESULT_PATH, record)
     print(f"\nreference:  {reference:10,.0f} events/s")
-    print(f"vectorized: {vectorized:10,.0f} events/s  ({speedup:.1f}x)")
+    print(f"vectorized: {vectorized:10,.0f} events/s  (median paired {speedup:.1f}x)")
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized engine is only {speedup:.2f}x the reference "
         f"(floor {MIN_SPEEDUP}x) — the fast path has regressed"

@@ -30,12 +30,16 @@ Two interchangeable routing engines implement step 2/3:
 * ``engine="vectorized"`` (:class:`VectorizedPropagator`, the default) —
   expands whole frontiers per hop with array ops
   (:meth:`~repro.graph.neighbor_sampler.TemporalNeighborSampler.sample_many`,
-  ``np.repeat`` / ``np.unique`` / segment reductions) and never loops over
-  events.  Because the samplers run in stateless mode (per-query derived
-  RNGs), both engines produce *identical* mailbox contents for every
-  φ/ρ/ψ/sampling combination — the equivalence test suite in
-  ``tests/core/test_propagation_equivalence.py`` asserts this bit-for-bit
-  (within float tolerance for the ρ reductions).
+  then one stable argsort per hop that keeps each ``(event, node)`` key's
+  first occurrence) and never loops over events.  Because the samplers run
+  in stateless mode (per-query derived RNGs), both engines produce
+  *identical* mailbox contents for every φ/ρ/ψ/sampling combination — the
+  equivalence test suite in ``tests/core/test_propagation_equivalence.py``
+  asserts this byte for byte.
+
+Both engines share ρ (:meth:`MailPropagator._reduce`): one sort of the
+receivers, segment maxima over that order, and a ``np.bincount`` mean that
+accumulates in receiver-list order.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ _PHI_CHOICES = ("sum", "concat_project")
 _RHO_CHOICES = ("mean", "last", "max")
 _F_CHOICES = ("identity", "time_decay")
 _ENGINE_CHOICES = ("reference", "vectorized")
+
+
+def _run_heads(sorted_values: np.ndarray) -> np.ndarray:
+    """True at the first element of every run of equal values."""
+    heads = np.empty(len(sorted_values), dtype=bool)
+    heads[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=heads[1:])
+    return heads
 
 
 class PropagationReport:
@@ -270,12 +282,16 @@ class MailPropagator:
         """Whole-frontier routing with array ops; no per-event Python loop.
 
         Each hop expands the entire batch frontier with one ``sample_many``
-        call, then filters the flattened candidates with array ops:
-        per-event de-duplication ("a node receives each event's mail at most
-        once") is a first-occurrence-wins pass over ``event * num_nodes +
-        node`` keys.  The receiver list is finally re-sorted to the reference
-        engine's (event, hop, discovery) order, so the downstream ρ reduction
-        accumulates in the same order and both engines agree to the last bit.
+        call and flattens the candidates in the order the reference loop
+        visits them.  Per-event de-duplication ("a node receives each event's
+        mail at most once") works on ``event * num_nodes + node`` keys: one
+        stable argsort of the keys already reached followed by the hop's
+        candidate keys puts every key's earliest occurrence first in its run,
+        so a candidate survives exactly when no earlier receiver of its event
+        and no earlier candidate holds its key.  The receiver list is finally
+        re-sorted to the reference engine's (event, hop, discovery) order, so
+        the downstream ρ reduction accumulates in the same order and both
+        engines agree to the last bit.
         """
         hop_sizes = [0] * self.num_hops
         num_events = len(batch)
@@ -298,43 +314,34 @@ class MailPropagator:
         node_blocks = [hop0_nodes]
         decay_blocks = [np.zeros(len(hop0_nodes), dtype=np.int64)]
 
-        # Per-event "already reached" sets as sorted (event * N + node) keys.
-        seen_keys = np.unique(hop0_events * self.num_nodes + hop0_nodes)
+        # Every (event * N + node) key reached so far, in discovery order.
+        reached = hop0_events * self.num_nodes + hop0_nodes
         frontier_events, frontier_nodes = hop0_events, hop0_nodes
 
         for hop in range(1, self.num_hops):
-            if len(frontier_nodes) == 0:
-                break
             sample = self._sampler.sample_many(frontier_nodes,
                                                timestamps[frontier_events])
             # Flatten row-major: frontier order, then slot order — the exact
             # order the reference loop visits candidates within each event.
-            flat_events = np.repeat(frontier_events, self.num_neighbors)
-            flat_nodes = sample.neighbors.ravel()
             flat_valid = sample.mask.ravel()
-            flat_events = flat_events[flat_valid]
-            flat_nodes = flat_nodes[flat_valid]
-            if len(flat_nodes) == 0:
-                break
-            keys = flat_events * self.num_nodes + flat_nodes
-            fresh = ~np.isin(keys, seen_keys)
-            keys = keys[fresh]
+            flat_events = np.repeat(frontier_events, self.num_neighbors)[flat_valid]
+            flat_nodes = sample.neighbors.ravel()[flat_valid]
+            keys = np.concatenate((reached, flat_events * self.num_nodes + flat_nodes))
+            order = np.argsort(keys, kind="stable")
+            fresh = np.empty(len(keys), dtype=bool)
+            fresh[order] = _run_heads(keys[order])
+            fresh = fresh[len(reached):]
             flat_events = flat_events[fresh]
             flat_nodes = flat_nodes[fresh]
             if len(flat_nodes) == 0:
                 break
-            # First occurrence wins within the hop (later duplicates of the
-            # same (event, node) pair are the ones the reference loop skips).
-            _, first = np.unique(keys, return_index=True)
-            keep = np.sort(first)
-            flat_events = flat_events[keep]
-            flat_nodes = flat_nodes[keep]
 
             hop_sizes[hop] = len(flat_nodes)
             event_blocks.append(flat_events)
             node_blocks.append(flat_nodes)
             decay_blocks.append(np.full(len(flat_nodes), hop, dtype=np.int64))
-            seen_keys = np.union1d(seen_keys, keys[keep])
+            if hop + 1 < self.num_hops:
+                reached = np.concatenate((reached, keys[len(reached):][fresh]))
             frontier_events, frontier_nodes = flat_events, flat_nodes
 
         events = np.concatenate(event_blocks)
@@ -362,30 +369,35 @@ class MailPropagator:
         """ρ — reduce multiple mails per receiver to a single mail."""
         if len(receivers) == 0:
             return receivers, mails, times
-        unique_nodes, inverse = np.unique(receivers, return_inverse=True)
-        reduced_mails = np.zeros((len(unique_nodes), mails.shape[1]))
-        reduced_times = np.zeros(len(unique_nodes))
+        # One sort makes each receiver's mails a contiguous segment (the max
+        # reductions are exact in any order, and the mean below sums in list
+        # order); "last" orders each segment by time, then list position, so
+        # the latest mail ends it.
+        if self.rho == "last":
+            order = np.lexsort((times, receivers))
+        else:
+            order = np.argsort(receivers)
+        sorted_receivers = receivers[order]
+        segment_head = _run_heads(sorted_receivers)
+        starts = np.flatnonzero(segment_head)
+        ends = np.append(starts[1:], len(order))
+        unique_nodes = sorted_receivers[starts]
+        reduced_times = np.maximum.reduceat(times[order], starts)
 
         if self.rho == "mean":
-            counts = np.bincount(inverse, minlength=len(unique_nodes)).astype(np.float64)
-            np.add.at(reduced_mails, inverse, mails)
-            reduced_mails /= counts[:, None]
+            # Flattened (receiver, column) bins summed in list order from +0.0.
+            inverse = np.empty(len(order), dtype=np.int64)
+            inverse[order] = np.cumsum(segment_head) - 1
+            dim = mails.shape[1]
+            bins = (inverse[:, None] * dim + np.arange(dim)).ravel()
+            sums = np.bincount(bins, weights=mails.ravel(),
+                               minlength=len(unique_nodes) * dim)
+            counts = ends - starts
+            reduced_mails = sums.reshape(len(unique_nodes), dim) / counts[:, None]
         elif self.rho == "max":
-            reduced_mails.fill(-np.inf)
-            np.maximum.at(reduced_mails, inverse, mails)
+            reduced_mails = np.maximum.reduceat(mails[order], starts, axis=0)
         else:  # "last": keep the chronologically latest mail per receiver
-            order = np.argsort(times, kind="stable")
-            # Chronological rank of every mail; the winner per receiver is the
-            # one holding the group's maximum rank (ties impossible: ranks are
-            # a permutation, and the stable sort puts the latest array
-            # position last among equal times — sequential-overwrite order).
-            ranks = np.empty(len(order), dtype=np.int64)
-            ranks[order] = np.arange(len(order))
-            group_max = np.full(len(unique_nodes), -1, dtype=np.int64)
-            np.maximum.at(group_max, inverse, ranks)
-            winners = ranks == group_max[inverse]
-            reduced_mails[inverse[winners]] = mails[winners]
-        np.maximum.at(reduced_times, inverse, times)
+            reduced_mails = mails[order[ends - 1]]
         return unique_nodes, reduced_mails, reduced_times
 
     def _ingest_events(self, batch: EventBatch) -> None:

@@ -5,9 +5,10 @@ exists so these tests can prove the fast path computes *the same thing*.  For
 every φ/ρ/ψ/sampling combination, across seeds, batch sizes and hop counts,
 streaming the same events through both engines must leave behind:
 
-* identical mailbox state — mails (within float tolerance: the ρ reductions
-  may accumulate in a different order), mail times, valid masks, FIFO
-  ``_next_slot`` cursors and ``_delivered`` counters;
+* byte-identical mailbox state — mails and mail times compared with
+  ``tobytes()`` (signed zeros included: both engines feed ρ the same receiver
+  list in the same order), valid masks, FIFO ``_next_slot`` cursors and
+  ``_delivered`` counters;
 * identical :class:`PropagationReport` bookkeeping (mail counts, receiver
   counts, per-hop frontier sizes) for every batch.
 
@@ -31,8 +32,6 @@ from repro.core.propagator import (
 )
 from repro.graph.batching import EventBatch, iterate_batches
 from repro.serving.service import ServingLoop
-
-ATOL = 1e-9
 
 PHI = ("sum", "concat_project")
 RHO = ("mean", "last", "max")
@@ -79,10 +78,9 @@ def run_engine(engine, batches, num_nodes, dim, *, psi="fifo", seed=0,
 
 
 def assert_mailboxes_match(reference: Mailbox, vectorized: Mailbox):
-    np.testing.assert_allclose(vectorized.mails, reference.mails, atol=ATOL)
+    assert vectorized.mails.tobytes() == reference.mails.tobytes()
     np.testing.assert_array_equal(vectorized.valid, reference.valid)
-    np.testing.assert_allclose(vectorized.mail_times, reference.mail_times,
-                               atol=ATOL)
+    assert vectorized.mail_times.tobytes() == reference.mail_times.tobytes()
     np.testing.assert_array_equal(vectorized._next_slot, reference._next_slot)
     np.testing.assert_array_equal(vectorized._delivered, reference._delivered)
 
@@ -161,6 +159,19 @@ class TestEdgeCases:
                                 num_neighbors=4)
         assert_mailboxes_match(box_ref, box_vec)
         assert not box_vec.valid[10:].any()
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_negative_event_time_is_not_clamped(self, engine):
+        """ρ keeps a receiver's latest mail time even when it is below 0."""
+        mailbox = Mailbox(4, 3, 2)
+        propagator = MailPropagator(mailbox, 4, 2, num_hops=1, engine=engine)
+        batch = EventBatch(src=np.array([0]), dst=np.array([1]),
+                           timestamps=np.array([-5.0]),
+                           edge_features=np.zeros((1, 2)), labels=np.zeros(1),
+                           edge_ids=np.arange(1))
+        propagator.propagate(batch, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert mailbox.mail_times[0, 0] == -5.0
+        assert mailbox.mail_times[1, 0] == -5.0
 
     def test_single_event_batches(self):
         batches = make_stream(40, num_nodes=12, dim=3, seed=9, batch_size=1)
