@@ -12,18 +12,23 @@ test-fast:
 	$(PYTHON) -m pytest -q tests/
 
 ## Prove the vectorized propagation + encoder engines match their reference
-## engines (byte-equal mailboxes), plus the hypothesis property suites.  CI
-## runs this target, so the file list lives here only.
+## engines (byte-equal mailboxes), plus the hypothesis property suites and the
+## bit-equality gates of the analytics views (incremental folds vs recompute
+## oracles) and of the event store / graph view.  CI runs this target, so the
+## file list lives here only.
 equivalence:
 	$(PYTHON) -m pytest -q tests/core/test_propagation_equivalence.py \
-		tests/core/test_encoder_equivalence.py tests/property/
+		tests/core/test_encoder_equivalence.py tests/property/ \
+		tests/analytics/test_property_oracle.py tests/storage/test_equivalence.py
 
+## Every bench-* target below writes its records (BENCH_*.json, view_fold.json,
+## TRACE_serving.json) under the ignored benchmarks/out/.
+##
 ## Measure both engine pairs (propagation and encoder) on the 10k-event
-## synthetic stream and write BENCH_propagation.json / BENCH_encoder.json
-## (the perf trajectory future PRs compare to); also assert that adjacency
-## fold + sample_many per 200-event batch stays flat from a 30k- to a
-## 300k-event hub stream (<= FOLD_BENCH_RATIO_CEILING, 2x; record in the
-## untracked benchmarks/out/view_fold.json).
+## synthetic stream and write BENCH_propagation.json / BENCH_encoder.json;
+## also assert that adjacency fold + sample_many per 200-event batch stays
+## flat from a 30k- to a 300k-event hub stream (<= FOLD_BENCH_RATIO_CEILING,
+## 2x; record in view_fold.json).
 bench:
 	$(PYTHON) -m pytest -q benchmarks/test_propagation_throughput.py \
 		benchmarks/test_encoder_throughput.py -s

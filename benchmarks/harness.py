@@ -153,6 +153,11 @@ def percent(value: float) -> float:
     return 100.0 * value
 
 
+# Every record and trace the benchmarks write lands here (ignored by git), so
+# a full test run leaves the working tree clean.
+OUT_DIR = Path(__file__).resolve().parent / "out"
+
+
 def write_bench_record(path: str | Path, record: dict) -> Path:
     """Write a BENCH_*.json result, stamped with run provenance.
 
@@ -163,5 +168,6 @@ def write_bench_record(path: str | Path, record: dict) -> Path:
     record = dict(record)
     record["provenance"] = run_metadata()
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=2) + "\n")
     return path

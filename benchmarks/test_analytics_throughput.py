@@ -12,7 +12,8 @@ keeps expiring — the adversarial case for naive window implementations,
 which must walk and evict every stored event) and asserts the measured
 **per-event** maintenance cost at 10x stays within ``RATIO_CEILING`` (2x
 by default) of the base run — flat, not linear.  Results land in
-``BENCH_analytics.json`` at the repo root (see ``make bench-analytics``);
+``BENCH_analytics.json`` under ``benchmarks/out/`` (see
+``make bench-analytics``);
 CI uploads the JSON and fails on a ratio regression.
 
 Environment knobs::
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.analytics import (
     WindowAggregator,
 )
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 BASE_EVENTS = int(os.environ.get("ANALYTICS_BENCH_EVENTS", 20_000))
 SCALE = int(os.environ.get("ANALYTICS_BENCH_SCALE", 10))
@@ -51,7 +51,7 @@ WINDOW = 50.0             # time units -> 5_000 in-window events at this rate
 NUM_BUCKETS = 16
 REPS = 5                  # min-of-reps absorbs scheduler noise
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_analytics.json"
+_RESULT_PATH = OUT_DIR / "BENCH_analytics.json"
 
 
 class _ArrayStore:

@@ -8,9 +8,8 @@ covers a whole batch of nodes (see
 a synthetic 10k-encode workload — pre-filled mailboxes, paper-default
 dimensions (10 slots, 2 heads, batch 200) — through both engines under
 ``no_grad`` and asserts the speedup floor that future PRs must not regress
-below.  The measured numbers are written to ``BENCH_encoder.json`` at the
-repo root so the perf trajectory is recorded alongside the code (see
-``make bench``).
+below.  The measured numbers are written to ``BENCH_encoder.json`` under
+``benchmarks/out/`` (see ``make bench``).
 
 A second record covers the other end of the size range: the serving path
 encodes ~4 nodes per decision under ``no_grad()``, where the call is
@@ -24,7 +23,6 @@ untracked ``benchmarks/out/encoder_inference.json``.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +31,7 @@ from repro.core.encoder import APANEncoder
 from repro.core.mailbox import Mailbox
 from repro.nn.tensor import Tensor, no_grad
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 NUM_ENCODES = 10_000
 NUM_NODES = 2_000
@@ -54,9 +52,8 @@ INFERENCE_CALLS = 2_000
 INFERENCE_REPS = 5  # min-of-reps absorbs scheduler noise
 MIN_INFERENCE_SPEEDUP = 1.5
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_encoder.json"
-_INFERENCE_RESULT_PATH = (Path(__file__).resolve().parent / "out"
-                          / "encoder_inference.json")
+_RESULT_PATH = OUT_DIR / "BENCH_encoder.json"
+_INFERENCE_RESULT_PATH = OUT_DIR / "encoder_inference.json"
 
 
 def prefilled_mailbox(seed: int = 0) -> Mailbox:
@@ -161,7 +158,6 @@ def test_inference_forward_speedup():
         "speedup": round(speedup, 2),
         "min_speedup_asserted": MIN_INFERENCE_SPEEDUP,
     }
-    _INFERENCE_RESULT_PATH.parent.mkdir(exist_ok=True)
     write_bench_record(_INFERENCE_RESULT_PATH, record)
     print(f"\ntensor forward:    {tensor_ms:.4f} ms / {INFERENCE_NODES}-node call")
     print(f"inference forward: {inference_ms:.4f} ms  ({speedup:.1f}x)")

@@ -15,8 +15,8 @@ always costs, say, 20% — inflates *every* pair's ratio and still fails the
 gate; one noisy repetition does not.  The raw per-mode walls (and their
 min) are recorded in ``BENCH_obs.json`` for eyeballing.
 
-The instrumented run's Chrome trace is exported to ``TRACE_serving.json`` at
-the repo root (load it in ``chrome://tracing`` / Perfetto; uploaded as a CI
+The instrumented run's Chrome trace is exported to ``TRACE_serving.json``
+under ``benchmarks/out/`` (load it in ``chrome://tracing`` / Perfetto; uploaded as a CI
 artifact), and the measured overhead goes to ``BENCH_obs.json``.
 """
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +33,7 @@ from repro.core import APAN, APANConfig
 from repro.datasets import bipartite_interaction_dataset
 from repro.serving import RuntimeConfig, ServingLoop
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 NUM_EVENTS = int(os.environ.get("OBS_BENCH_EVENTS", "24000"))
 MAX_OVERHEAD_PCT = float(os.environ.get("OBS_BENCH_MAX_OVERHEAD_PCT", "5.0"))
@@ -43,9 +42,8 @@ NUM_WORKERS = 2
 MAX_BACKLOG = 4
 REPS = int(os.environ.get("OBS_BENCH_REPS", "5"))
 
-_ROOT = Path(__file__).resolve().parent.parent
-_RESULT_PATH = _ROOT / "BENCH_obs.json"
-_TRACE_PATH = _ROOT / "TRACE_serving.json"
+_RESULT_PATH = OUT_DIR / "BENCH_obs.json"
+_TRACE_PATH = OUT_DIR / "TRACE_serving.json"
 
 
 def _runtime_config(telemetry: bool) -> RuntimeConfig:
@@ -125,6 +123,7 @@ def test_telemetry_overhead_under_budget(measurements):
 def test_trace_export_is_valid_chrome_trace(measurements):
     _, telemetry = measurements
     assert telemetry is not None and telemetry.enabled
+    _TRACE_PATH.parent.mkdir(parents=True, exist_ok=True)
     telemetry.write_chrome_trace(_TRACE_PATH, metadata={
         "workload": f"{NUM_EVENTS} events x {BATCH_SIZE} batch, "
                     f"{NUM_WORKERS} workers"})

@@ -8,8 +8,8 @@ workload through both engines with the paper-default propagation settings
 back-to-back reference/vectorized pairs, and asserts that the median paired
 speedup stays above the floor future PRs must not regress below (a pair
 shares the machine's load of the moment, so a slow spell cancels out).  The
-measured numbers are written to ``BENCH_propagation.json`` at the repo root
-so the perf trajectory is recorded alongside the code (see ``make bench``).
+measured numbers are written to ``BENCH_propagation.json`` under
+``benchmarks/out/`` (see ``make bench``).
 
 A second guard pins what that engine stands on: maintaining the temporal
 adjacency index and sampling from it must cost the same per 200-event batch
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +42,7 @@ from repro.graph.neighbor_sampler import make_sampler
 from repro.scenarios import hub_nodes
 from repro.storage import GraphView
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 NUM_EVENTS = 10_000
 NUM_NODES = 2_000
@@ -61,8 +60,8 @@ FOLD_SCALE = int(os.environ.get("FOLD_BENCH_SCALE", 10))
 FOLD_RATIO_CEILING = float(os.environ.get("FOLD_BENCH_RATIO_CEILING", 2.0))
 FOLD_REPS = 3  # min-of-reps absorbs scheduler noise
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_propagation.json"
-_FOLD_RESULT_PATH = Path(__file__).resolve().parent / "out" / "view_fold.json"
+_RESULT_PATH = OUT_DIR / "BENCH_propagation.json"
+_FOLD_RESULT_PATH = OUT_DIR / "view_fold.json"
 
 
 def synthetic_batches(seed: int = 0):
@@ -176,7 +175,6 @@ def test_fold_and_sample_cost_is_flat_in_stream_length():
         "per_batch_ratio": round(ratio, 4),
         "ratio_ceiling": FOLD_RATIO_CEILING,
     }
-    _FOLD_RESULT_PATH.parent.mkdir(exist_ok=True)
     write_bench_record(_FOLD_RESULT_PATH, record)
     print(f"\nfold + sample_many: {base_ms:.3f} ms/batch at "
           f"{FOLD_BASE_EVENTS:,} events, {long_ms:.3f} ms/batch at "

@@ -4,8 +4,8 @@ Runs the :class:`repro.scenarios.ScenarioMatrix` — APAN vs the JODIE and TGN
 baselines across the four adversarial scenarios (``bursty``, ``hubs``,
 ``drift``, ``late``) served ``inline`` (the one mode every model supports,
 decision latency measured), under a ``fold-late`` watermark policy — and
-writes the full record to ``BENCH_scenarios.json`` at the repo root with
-:mod:`repro.obs` provenance (see ``make bench-scenarios``).
+writes the full record to ``BENCH_scenarios.json`` under ``benchmarks/out/``
+with :mod:`repro.obs` provenance (see ``make bench-scenarios``).
 
 The guard asserts the matrix is *complete*: at least 4 scenarios x 3 models
 x ``inline`` with no missing cells, every cell accounted (decisions served,
@@ -21,20 +21,19 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.analytics import WatermarkPolicy
 from repro.scenarios import MATRIX_SCENARIOS, ScenarioMatrix
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 NUM_EVENTS = int(os.environ.get("SCENARIO_BENCH_EVENTS", "600"))
 BATCH_SIZE = 50
 ALLOWED_LATENESS = 6000.0  # stream seconds; covers the late scenario's bound
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
+_RESULT_PATH = OUT_DIR / "BENCH_scenarios.json"
 
 
 def _scenarios() -> dict:

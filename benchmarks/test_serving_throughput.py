@@ -19,9 +19,8 @@ runs, measured in a fresh subprocess): the p50 ordering APAN worker-pool <
 APAN inline < TGN inline, the worker pool's p99 below APAN inline's, and the
 propagation backlog within its configured bound.  Results (latency
 percentiles, mailbox staleness, backlog high-water mark) are written to
-``BENCH_serving.json`` at the repo root so the perf trajectory is recorded
-alongside the code (see ``make bench-serving``).  ``SERVING_BENCH_EVENTS``
-scales the stream (default 10k events — the CI size; use 100k+ for a local
+``BENCH_serving.json`` under ``benchmarks/out/`` (see
+``make bench-serving``).  ``SERVING_BENCH_EVENTS`` scales the stream (default 10k events — the CI size; use 100k+ for a local
 soak).
 """
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -39,7 +37,7 @@ from repro.core import APAN, APANConfig
 from repro.datasets import bipartite_interaction_dataset
 from repro.serving import RuntimeConfig, ServingLoop
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 NUM_EVENTS = int(os.environ.get("SERVING_BENCH_EVENTS", "10000"))
 BATCH_SIZE = 100
@@ -54,7 +52,7 @@ ROWS = {
     "tgn_inline": ("TGN", "inline"),
 }
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
+_RESULT_PATH = OUT_DIR / "BENCH_serving.json"
 
 
 def _measure(result_queue) -> None:

@@ -9,7 +9,7 @@ to a compact CSR of the same entries).
 This benchmark runs that workload in a fresh subprocess (so its ``VmHWM`` is
 the workload's own peak, not the test session's), asserts the peak RSS stays
 under a CI-enforced ceiling, and records append/slice/query throughput in
-``BENCH_storage.json`` at the repo root (see ``make bench-storage``).
+``BENCH_storage.json`` under ``benchmarks/out/`` (see ``make bench-storage``).
 
 Environment knobs::
 
@@ -25,11 +25,10 @@ import os
 import resource
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-from .harness import write_bench_record
+from .harness import OUT_DIR, write_bench_record
 
 NUM_EVENTS = int(os.environ.get("STORAGE_BENCH_EVENTS", 10_000_000))
 NUM_NODES = int(os.environ.get("STORAGE_BENCH_NODES", 1_000_000))
@@ -40,7 +39,7 @@ NUM_SHARDS = 8
 NUM_SLICE_QUERIES = 2_000
 NUM_NODE_QUERIES = 2_000
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
+_RESULT_PATH = OUT_DIR / "BENCH_storage.json"
 
 
 def _peak_rss_mb() -> float:

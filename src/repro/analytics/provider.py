@@ -120,16 +120,21 @@ class AnalyticsFeatureProvider(FeatureProvider):
         with self.telemetry.span("features.lookup", arg=len(batch)):
             src = np.asarray(batch.src, dtype=np.int64)
             dst = np.asarray(batch.dst, dtype=np.int64)
-            features = np.column_stack([
-                self.windows.count(src),
-                self.windows.count(dst),
-                self.windows.rate(src),
-                self.windows.rate(dst),
-                self.velocity.out_degree[src].astype(np.float64),
-                self.velocity.in_degree[dst].astype(np.float64),
-                self.velocity.burst_score(src),
-                self.velocity.burst_score(dst),
-            ])
+            size = len(src)
+            # One gather per view array over both endpoints; row ``i`` of
+            # ``nodes`` is src ``i``, row ``size + i`` is dst ``i``.
+            nodes = np.concatenate((src, dst))
+            counts, rates = self.windows.count_and_rate(nodes)
+            bursts = self.velocity.burst_score(nodes)
+            features = np.empty((size, len(FEATURE_NAMES)), dtype=np.float64)
+            features[:, 0] = counts[:size]
+            features[:, 1] = counts[size:]
+            features[:, 2] = rates[:size]
+            features[:, 3] = rates[size:]
+            features[:, 4] = self.velocity.out_degree[src]
+            features[:, 5] = self.velocity.in_degree[dst]
+            features[:, 6] = bursts[:size]
+            features[:, 7] = bursts[size:]
         return features
 
     def observe_scores(self, batch: EventBatch, scores: np.ndarray) -> None:

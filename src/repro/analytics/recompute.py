@@ -17,7 +17,7 @@ The equivalence argument, per view:
   one-shot pass (``np.add.at`` applies in index order).
 * :func:`recompute_velocity` — inter-arrival deltas are differences of
   consecutive appearance times, which do not depend on where batch
-  boundaries fall; per-node scatter order is chronological in both.
+  boundaries fall; per-node scatter order is row order in both.
 * :func:`recompute_topk` — "latest score wins, ties by node id" is a pure
   function of the update sequence.
 """

@@ -125,19 +125,20 @@ class ViewRegistry:
         hi = int(hi)
         if hi <= self._folded:
             return self._folded
-        if hi > self._visible_rows() and refresh is not None:
-            refresh()
         visible = self._visible_rows()
+        if hi > visible and refresh is not None:
+            refresh()
+            visible = self._visible_rows()
         if hi > visible:
             raise StaleStoreError(
                 f"advance({hi}) is past the published prefix: only {visible} "
                 f"rows are visible (writer not yet published?). Refusing to "
                 f"fold a silently-clamped block."
             )
-        lo = self._folded
+        lo, store = self._folded, self.store
         with self.telemetry.span("features.advance", arg=hi - lo):
-            src = self.store.src[lo:hi]
-            dst = self.store.dst[lo:hi]
+            src = store.src[lo:hi]
+            dst = store.dst[lo:hi]
             if self.event_times is not None:
                 if len(self.event_times) < hi:
                     raise StaleStoreError(
@@ -145,8 +146,8 @@ class ViewRegistry:
                         f"rows but advance({hi}) was requested")
                 timestamps = self.event_times[lo:hi]
             else:
-                timestamps = self.store.timestamps[lo:hi]
-            labels = self.store.labels[lo:hi]
+                timestamps = store.timestamps[lo:hi]
+            labels = store.labels[lo:hi]
             if not (len(src) == len(dst) == len(timestamps) == len(labels)
                     == hi - lo):
                 raise StaleStoreError(

@@ -5,12 +5,12 @@ sums over a sliding window of event time — the "fraud rate over the last W
 seconds" feature family.  The layout is the classic **ring of buckets**: the
 window is divided into ``num_buckets`` equal-width time buckets, stored as
 columns of two ``(num_nodes, num_buckets)`` arrays.  Folding a batch is a
-pair of ``np.add.at`` scatters (O(batch)); advancing the watermark by k
-buckets clears k columns (O(min(k, num_buckets)) column writes) — **never**
-a walk over stored events, which is what makes per-event maintenance cost
-independent of history length (the constant-delay discipline of "Answering
-FO+MOD queries under updates"; ``benchmarks/test_analytics_throughput.py``
-asserts the flatness).
+pair of 1-D ``np.add.at`` scatters on the raveled rings (O(batch));
+advancing the watermark by k buckets clears k columns (O(min(k, num_buckets))
+column writes) — **never** a walk over stored events, which is what makes
+per-event maintenance cost independent of history length (the
+constant-delay discipline of "Answering FO+MOD queries under updates";
+``benchmarks/test_analytics_throughput.py`` asserts the flatness).
 
 Window semantics are bucket-granular: a query covers the ``num_buckets``
 live buckets, i.e. between ``window - bucket_width`` and ``window`` time
@@ -36,6 +36,8 @@ backwards.  ``tests/analytics/test_views.py`` and
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -113,7 +115,7 @@ class WindowAggregator:
         how many events the expired buckets held.  Never moves backwards.
         """
         self.watermark_time = max(self.watermark_time, float(time))
-        new_bucket = int(np.floor(float(time) / self.bucket_width))
+        new_bucket = math.floor(float(time) / self.bucket_width)
         if self._watermark_bucket is None:
             self._watermark_bucket = new_bucket
             return
@@ -141,11 +143,8 @@ class WindowAggregator:
         timestamps = np.asarray(timestamps, dtype=np.float64).reshape(-1)
         if not len(timestamps):
             return timestamps
-        prefix = np.empty_like(timestamps)
-        prefix[0] = self.watermark_time
-        if len(timestamps) > 1:
-            np.maximum(np.maximum.accumulate(timestamps[:-1]),
-                       self.watermark_time, out=prefix[1:])
+        prefix = np.maximum.accumulate(
+            np.concatenate(([self.watermark_time], timestamps[:-1])))
         return np.maximum(0.0, prefix - timestamps)
 
     def fold(self, src: np.ndarray, dst: np.ndarray, timestamps: np.ndarray,
@@ -161,10 +160,10 @@ class WindowAggregator:
         of rejection are counted in :attr:`late_dropped`.
         """
         del first_row  # windows do not need row ids
-        src = np.asarray(src, dtype=np.int64).reshape(-1)
-        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
-        timestamps = np.asarray(timestamps, dtype=np.float64).reshape(-1)
-        labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.float64)
         if not len(src):
             return
         buckets = self._bucket_of(timestamps)
@@ -174,20 +173,24 @@ class WindowAggregator:
         # or not — a rejected straggler must not hold time back.
         self.advance_watermark(float(timestamps.max()))
         live = admitted & (buckets >= self.horizon_bucket)
-        self.late_dropped += int(len(buckets) - live.sum())
-        self.late_admitted += int((live & (lateness > 0)).sum())
-        if not live.any():
-            self.num_folded += len(src)
-            return
-        slots = buckets[live] % self.num_buckets
-        occ_nodes = np.empty(2 * int(live.sum()), dtype=np.int64)
-        occ_nodes[0::2] = src[live]
-        occ_nodes[1::2] = dst[live]
-        occ_slots = np.repeat(slots, 2)
-        occ_labels = np.repeat(labels[live], 2)
-        np.add.at(self.counts, (occ_nodes, occ_slots), 1.0)
-        np.add.at(self.label_sums, (occ_nodes, occ_slots), occ_labels)
+        folded = int(np.count_nonzero(live))
+        self.late_dropped += len(src) - folded
         self.num_folded += len(src)
+        if not folded:
+            return
+        self.late_admitted += int(np.count_nonzero(lateness[live] > 0))
+        # One flat cell index ``node * num_buckets + slot`` per occurrence,
+        # per event src then dst, scattered with 1-D ``np.add.at`` on the
+        # raveled ring: the cells and their order of a 2-D ``(node, slot)``
+        # scatter, so the sums stay bit-identical.
+        cells = np.empty((folded, 2), dtype=np.int64)
+        cells[:, 0] = src[live]
+        cells[:, 1] = dst[live]
+        cells *= self.num_buckets
+        cells += (buckets[live] % self.num_buckets)[:, None]
+        cells = cells.reshape(-1)
+        np.add.at(self.counts.reshape(-1), cells, 1.0)
+        np.add.at(self.label_sums.reshape(-1), cells, np.repeat(labels[live], 2))
 
     # ------------------------------------------------------------------ #
     # Queries (pure array gathers; O(len(nodes) * num_buckets))
@@ -204,10 +207,14 @@ class WindowAggregator:
 
     def rate(self, nodes: np.ndarray) -> np.ndarray:
         """Window mean label per node — the sliding fraud rate (0 if idle)."""
+        return self.count_and_rate(nodes)[1]
+
+    def count_and_rate(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(count(nodes), rate(nodes))`` from one gather of each ring."""
         counts = self.count(nodes)
         sums = self.label_sum(nodes)
-        return np.divide(sums, counts, out=np.zeros_like(sums),
-                         where=counts > 0)
+        return counts, np.divide(sums, counts, out=np.zeros_like(sums),
+                                 where=counts > 0)
 
     def memory_footprint_bytes(self) -> int:
         return self.counts.nbytes + self.label_sums.nbytes

@@ -340,9 +340,12 @@ class Mailbox:
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
             raise IndexError("node id out of range")
-        mails = self.mails[nodes].copy()
-        times = self.mail_times[nodes].copy()
-        valid = self.valid[nodes].copy()
+        # A fancy gather already returns a copy: every array is private to
+        # the caller, so a worker delivering into shared state cannot
+        # overwrite it.
+        mails = self.mails[nodes]
+        times = self.mail_times[nodes]
+        valid = self.valid[nodes]
         if not sort_by_time or len(nodes) == 0:
             return mails, times, valid
         # Invalid slots get +inf sort keys so they land at the end.

@@ -20,7 +20,11 @@ Backings
 --------
 * **memory** (default) — plain NumPy arrays, grown by amortised doubling.
 * **mmap** — every column lives in a raw binary file under a directory,
-  mapped with ``np.memmap``.  The writer grows a column by flushing,
+  mapped with ``np.memmap``.  The store hands its columns and header words
+  out as plain ``np.ndarray`` views of those maps (every slice and word load
+  stays in C, with no ``memmap.__getitem__`` / ``__array_finalize__`` per
+  access) and keeps the ``np.memmap`` objects only to flush, remap and close
+  them.  The writer grows a column by flushing,
   extending the file to the doubled capacity and remapping; readers in other
   processes attach the same files read-only with :meth:`open_mmap` and follow
   growth with :meth:`refresh`.  Because all maps share the OS page cache,
@@ -121,7 +125,11 @@ class EventStore:
         self._capacity = 0
         self._last_timestamp = -np.inf
         self._path: Path | None = None
-        self._header: np.memmap | None = None
+        # ``_header`` is a plain ndarray view of ``_header_map``; ``_maps``
+        # holds each column's np.memmap behind its ``_columns`` view.
+        self._header: np.ndarray | None = None
+        self._header_map: np.memmap | None = None
+        self._maps: dict[str, np.memmap] = {}
         self._writable = True
         # Observability sink; callers that want spans ("store.append",
         # "store.refresh") swap in a live Telemetry — the serving runtime
@@ -245,7 +253,7 @@ class EventStore:
                 f"edge feature dim mismatch: expected {self.edge_feature_dim}, "
                 f"got {edge_features.shape[1]}"
             )
-        if np.any(np.diff(timestamps) < 0):
+        if (timestamps[1:] < timestamps[:-1]).any():
             raise ValueError("events must be sorted by timestamp")
         if timestamps[0] < self._last_timestamp:
             raise ValueError(
@@ -352,17 +360,17 @@ class EventStore:
         """Flush mmap pages and the meta to disk (no-op for memory backing)."""
         if self._path is None:
             return
-        for column in self._columns.values():
-            if isinstance(column, np.memmap):
-                column.flush()
+        for column_map in self._maps.values():
+            column_map.flush()
         if self._writable:
-            self._header.flush()
+            self._header_map.flush()
             self._write_meta()
 
     def close(self) -> None:
         """Drop the column and header maps (detach).  The store object is dead."""
         self._columns = {}
-        self._header = None
+        self._maps = {}
+        self._header = self._header_map = None
         self._capacity = 0
         self._num_events = 0
 
@@ -440,12 +448,15 @@ class EventStore:
         if self._column_nbytes(name, capacity) == 0:
             # np.memmap cannot map zero bytes (edge_feature_dim == 0).
             return np.zeros(shape, dtype=dtype)
-        return np.memmap(self._path / f"{name}.bin", dtype=dtype, mode=mode,
-                         shape=shape)
+        column_map = np.memmap(self._path / f"{name}.bin", dtype=dtype,
+                               mode=mode, shape=shape)
+        self._maps[name] = column_map
+        return column_map.view(np.ndarray)
 
     def _remap_column(self, name: str, dtype, capacity: int, mode: str) -> None:
-        old = self._columns.pop(name, None)
-        if isinstance(old, np.memmap) and self._writable:
+        self._columns.pop(name, None)
+        old = self._maps.pop(name, None)
+        if old is not None and self._writable:
             old.flush()
         del old
         if self._writable and self._column_nbytes(name, capacity):
@@ -458,9 +469,13 @@ class EventStore:
     def _create_header(self) -> None:
         """Writer: create ``header.bin`` (born all zeros: version 0, which
         readers treat as unstable and retry) and publish the current counts."""
-        self._header = np.memmap(self._path / _HEADER_NAME, dtype=np.int64,
-                                 mode="w+", shape=(4,))
+        self._map_header("w+")
         self._publish()
+
+    def _map_header(self, mode: str) -> None:
+        self._header_map = np.memmap(self._path / _HEADER_NAME, dtype=np.int64,
+                                     mode=mode, shape=(4,))
+        self._header = self._header_map.view(np.ndarray)
 
     def _publish(self) -> None:
         """Seqlock write: the version word is odd while the counts change."""
@@ -479,8 +494,7 @@ class EventStore:
                 meta = json.loads((self._path / _META_NAME).read_text())
                 return (int(meta["num_events"]), int(meta["capacity"]),
                         float(meta["last_timestamp"]))
-            self._header = np.memmap(header_path, dtype=np.int64, shape=(4,),
-                                     mode="r+" if self._writable else "r")
+            self._map_header("r+" if self._writable else "r")
         header = self._header
         for attempt in range(_HEADER_READ_RETRIES):
             version = int(header[0])  # before the counts, then once more after

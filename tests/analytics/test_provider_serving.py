@@ -16,8 +16,9 @@ from repro.analytics import (
     recompute_window,
 )
 from repro.core import APAN, APANConfig
-from repro.graph.batching import iterate_batches
+from repro.graph.batching import EventBatch, iterate_batches
 from repro.serving import FeatureProvider, RuntimeConfig, ServingLoop
+from repro.storage import EventStore
 
 
 @pytest.fixture
@@ -76,6 +77,57 @@ class TestLookupMatrix:
         fresh = make_provider(tiny_graph)  # nothing folded yet
         batch = next(iter(iterate_batches(tiny_graph, 40)))
         assert np.all(fresh.lookup(batch) == 0.0)
+
+    @staticmethod
+    def folded_provider():
+        rng = np.random.default_rng(3)
+        n = 300
+        store = EventStore.from_arrays(
+            rng.integers(0, 12, n), rng.integers(0, 12, n),
+            np.sort(rng.uniform(0.0, 100.0, n)), np.zeros((n, 0)),
+            labels=rng.integers(0, 2, n).astype(np.float64), num_nodes=12)
+        provider = AnalyticsFeatureProvider(store, window=40.0, num_buckets=8)
+        provider.advance(250)
+        return provider
+
+    @staticmethod
+    def batch_of(src, dst):
+        src = np.asarray(src, dtype=np.int64)
+        return EventBatch(src=src, dst=np.asarray(dst, dtype=np.int64),
+                          timestamps=np.full(len(src), 100.0),
+                          edge_features=np.zeros((len(src), 0)),
+                          labels=np.zeros(len(src)),
+                          edge_ids=np.arange(len(src), dtype=np.int64))
+
+    def test_each_column_is_the_view_query_it_names(self):
+        provider = self.folded_provider()
+        windows, velocity = provider.windows, provider.velocity
+        # Node 3 repeats as a source; event 2 is a self-loop on node 5.
+        src = np.array([3, 3, 5, 7, 0])
+        dst = np.array([8, 1, 5, 3, 11])
+        features = provider.lookup(self.batch_of(src, dst))
+        expected = {
+            "src_window_count": windows.count(src),
+            "dst_window_count": windows.count(dst),
+            "src_fraud_rate": windows.rate(src),
+            "dst_fraud_rate": windows.rate(dst),
+            "src_out_degree": velocity.out_degree[src].astype(np.float64),
+            "dst_in_degree": velocity.in_degree[dst].astype(np.float64),
+            "src_burst": velocity.burst_score(src),
+            "dst_burst": velocity.burst_score(dst),
+        }
+        assert features.shape == (5, 8) and features.dtype == np.float64
+        for column, name in enumerate(FEATURE_NAMES):
+            assert expected[name].dtype == np.float64
+            assert features[:, column].tobytes() == expected[name].tobytes(), name
+            assert np.any(features[:, column] != 0.0), name  # not vacuous
+        # The repeated source reads the same src-side columns twice.
+        assert np.array_equal(features[0, 0::2], features[1, 0::2])
+
+    def test_empty_batch_is_a_zero_row_matrix(self):
+        features = self.folded_provider().lookup(self.batch_of([], []))
+        assert features.shape == (0, len(FEATURE_NAMES))
+        assert features.dtype == np.float64
 
 
 class TestInlineMode:

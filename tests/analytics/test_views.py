@@ -134,6 +134,17 @@ class TestDegreeVelocity:
                  np.array([0.0, 5.0, 5.0]))
         assert vel.burst_score([0]).tolist() == [np.inf]
 
+    def test_negative_last_delta_scores_undefined(self):
+        # Occurrence times of a late stream, folded in arrival order: node 0
+        # at t = 0, 5, 3 gives deltas 5 and -2 (mean 1.5, last -2).  The
+        # latest arrival happened before the one ahead of it: no burst.
+        vel = DegreeVelocity(4)
+        vel.fold(np.array([0, 0, 0]), np.array([1, 2, 3]),
+                 np.array([0.0, 5.0, 3.0]))
+        assert vel.mean_interarrival([0]).tolist() == [1.5]
+        assert vel.last_delta[0] == -2.0
+        assert vel.burst_score([0, 1]).tolist() == [0.0, 0.0]
+
     def test_all_simultaneous_appearances_score_on_trend(self):
         vel = DegreeVelocity(3)
         vel.fold(np.array([0, 0]), np.array([1, 1]), np.array([2.0, 2.0]))

@@ -74,8 +74,23 @@ class TestDelivery:
         box = Mailbox(1, 4, 1)
         for t in [5.0, 1.0, 3.0]:
             box.deliver(np.array([0]), np.array([[t]]), np.array([t]))
-        _, times, valid = box.read(np.array([0]))
+        mails, times, valid = box.read(np.array([0]))
         np.testing.assert_allclose(times[0][valid[0]], [1.0, 3.0, 5.0])
+        np.testing.assert_allclose(mails[0][valid[0], 0], [1.0, 3.0, 5.0])
+
+    @pytest.mark.parametrize("sort_by_time", [True, False])
+    def test_read_returns_private_copies(self, sort_by_time):
+        """Later deliveries (a worker's, on shared state) cannot reach a
+        stack that was already read."""
+        box = Mailbox(3, 2, 1)
+        box.deliver(np.array([0, 2]), np.array([[2.0], [1.0]]), np.array([2.0, 1.0]))
+        result = box.read(np.array([2, 0, 2]), sort_by_time=sort_by_time)
+        for array, state in zip(result, (box.mails, box.mail_times, box.valid)):
+            assert not np.shares_memory(array, state)
+        before = [array.copy() for array in result]
+        box.deliver(np.array([0, 2]), np.array([[9.0], [9.0]]), np.array([9.0, 9.0]))
+        for array, kept in zip(result, before):
+            assert np.array_equal(array, kept)
 
     def test_duplicate_nodes_in_one_call(self):
         box = Mailbox(2, 4, 1)

@@ -182,6 +182,56 @@ class TestMmapStore:
         writer.close()
         reader.close()
 
+    @staticmethod
+    def assert_plain_ndarrays(store):
+        for name in ("src", "dst", "timestamps", "labels", "edge_features"):
+            assert type(getattr(store, name)) is np.ndarray, name
+        assert type(store._header) is np.ndarray
+
+    def test_columns_and_header_are_plain_ndarrays(self, tmp_path):
+        """Hot-path reads and slices never go through ``np.memmap``."""
+        src, dst, ts, ef, lab = make_events(100)
+        writer = EventStore.create_mmap(tmp_path / "events", num_nodes=20,
+                                        edge_feature_dim=4, capacity=8)
+        writer.append_batch(src[:5], dst[:5], ts[:5], ef[:5], lab[:5])
+        reader = EventStore.open_mmap(tmp_path / "events")
+        self.assert_plain_ndarrays(writer)
+        self.assert_plain_ndarrays(reader)
+
+        writer.append_batch(src[5:], dst[5:], ts[5:], ef[5:], lab[5:])
+        reader.ensure_visible(100)  # both sides remapped after growth
+        assert writer.capacity == reader.capacity > 8
+        self.assert_plain_ndarrays(writer)
+        self.assert_plain_ndarrays(reader)
+        assert type(reader.src[10:20]) is np.ndarray
+        assert np.array_equal(reader.edge_features, ef)
+        writer.close()
+        reader.close()
+
+        for mode in ("r", "r+"):
+            reopened = EventStore.open_mmap(tmp_path / "events", mode=mode)
+            self.assert_plain_ndarrays(reopened)
+            assert np.array_equal(reopened.timestamps, ts)
+            reopened.close()
+
+    def test_flush_is_durable(self, tmp_path):
+        src, dst, ts, ef, lab = make_events(60)
+        writer = EventStore.create_mmap(tmp_path / "events", num_nodes=20,
+                                        edge_feature_dim=4, capacity=16)
+        writer.append_batch(src, dst, ts, ef, lab)
+        writer.flush()
+        meta = json.loads((tmp_path / "events" / "meta.json").read_text())
+        assert (meta["num_events"], meta["last_timestamp"]) == (60, ts[-1])
+        on_disk = np.fromfile(tmp_path / "events" / "edge_features.bin")
+        assert np.array_equal(on_disk[:60 * 4].reshape(60, 4), ef)
+        writer.close()
+
+        reopened = EventStore.open_mmap(tmp_path / "events")
+        for name, column in (("src", src), ("dst", dst), ("timestamps", ts),
+                             ("labels", lab), ("edge_features", ef)):
+            assert np.array_equal(getattr(reopened, name), column), name
+        reopened.close()
+
     def test_zero_feature_dim_mmap(self, tmp_path):
         store = EventStore.create_mmap(tmp_path / "events", num_nodes=5,
                                        edge_feature_dim=0)
@@ -258,11 +308,13 @@ class TestHeaderPublish:
     def test_close_drops_the_header_map(self, tmp_path):
         writer = self.make_store(tmp_path)
         reader = EventStore.open_mmap(tmp_path / "events")
-        assert isinstance(writer._header, np.memmap)
-        assert isinstance(reader._header, np.memmap)
+        for store in (writer, reader):  # mapped before close ...
+            assert isinstance(store._header_map, np.memmap)
+            assert np.shares_memory(store._header, store._header_map)
         writer.close()
         reader.close()
-        assert writer._header is None and reader._header is None
+        for store in (writer, reader):  # ... and dropped after
+            assert store._header is None and store._header_map is None
         shutil.rmtree(tmp_path / "events")
         assert not (tmp_path / "events").exists()
 
