@@ -12,14 +12,18 @@ test-fast:
 	$(PYTHON) -m pytest -q tests/
 
 ## Prove the vectorized propagation + encoder engines match their reference
-## engines (byte-equal mailboxes), plus the hypothesis property suites and the
+## engines (byte-equal mailboxes), plus the hypothesis property suites, the
 ## bit-equality gates of the analytics views (incremental folds vs recompute
-## oracles) and of the event store / graph view.  CI runs this target, so the
-## file list lives here only.
+## oracles) and of the event store / graph view, and the serving runtime's
+## ordered-apply gates (worker-pool mailbox == sequential propagation, and
+## worker-pool routing == inline).  CI runs this target, so the file list
+## lives here only.
 equivalence:
 	$(PYTHON) -m pytest -q tests/core/test_propagation_equivalence.py \
 		tests/core/test_encoder_equivalence.py tests/property/ \
-		tests/analytics/test_property_oracle.py tests/storage/test_equivalence.py
+		tests/analytics/test_property_oracle.py tests/storage/test_equivalence.py \
+		tests/serving/test_runtime.py::TestEquivalence \
+		tests/serving/test_runtime.py::TestServiceIntegration::test_worker_pool_routing_matches_inline
 
 ## Every bench-* target below writes its records (BENCH_*.json, view_fold.json,
 ## TRACE_serving.json) under the ignored benchmarks/out/.

@@ -3,9 +3,10 @@
 The tentpole claim of the storage split is that a 1M-node / 10M-event stream
 builds through :class:`~repro.storage.EventStore` / `GraphView` with *no
 per-event Python objects* — appends are chunked array copies into an
-mmap-backed columnar store, and the only resident index is one shard's
-adjacency (``shard_csr_mb``: the bytes it touched, recorded with their ratio
-to a compact CSR of the same entries).
+mmap-backed columnar store, and the only resident index is the adjacency a
+serving worker holds: one ``GraphView(store, 0, 0)`` folded over the whole
+stream (``csr_mb``: the bytes it touched, recorded with their ratio to a
+compact CSR of the same entries).
 This benchmark runs that workload in a fresh subprocess (so its ``VmHWM`` is
 the workload's own peak, not the test session's), asserts the peak RSS stays
 under a CI-enforced ceiling, and records append/slice/query throughput in
@@ -35,7 +36,6 @@ NUM_NODES = int(os.environ.get("STORAGE_BENCH_NODES", 1_000_000))
 RSS_CEILING_MB = float(os.environ.get("STORAGE_BENCH_RSS_MB", 2048))
 FEATURE_DIM = 4
 CHUNK = 100_000
-NUM_SHARDS = 8
 NUM_SLICE_QUERIES = 2_000
 NUM_NODE_QUERIES = 2_000
 
@@ -62,15 +62,14 @@ def _peak_rss_mb() -> float:
 
 def _workload(store_dir: str, result_queue) -> None:
     """Runs in a fresh subprocess; reports its own peak RSS."""
-    from repro.storage import EventStore, GraphView, ShardMap
+    from repro.storage import EventStore, GraphView
 
     store = EventStore.create_mmap(store_dir, num_nodes=NUM_NODES,
                                    edge_feature_dim=FEATURE_DIM,
                                    capacity=NUM_EVENTS)
-    shard_map = ShardMap(NUM_NODES, num_shards=NUM_SHARDS)
-    # A sharded serving worker's resident state: one shard's adjacency over
+    # A serving worker's resident state: the adjacency of a range view over
     # the shared store; the event columns themselves stay on disk.
-    shard_view = GraphView(store, 0, 0).for_shard(shard_map, shard=0)
+    worker_view = GraphView(store, 0, 0)
 
     # ---- chunked append (no per-event Python objects) ------------------ #
     rng = np.random.default_rng(0)
@@ -86,8 +85,8 @@ def _workload(store_dir: str, result_queue) -> None:
             timestamps,
             rng.normal(size=(size, FEATURE_DIM)),
         )
-        # Fold the chunk into the shard index as a serving worker would.
-        shard_view.extend_to(store.num_events).adjacency()
+        # Fold the chunk into the index as a serving worker would.
+        worker_view.extend_to(store.num_events).adjacency()
     append_elapsed = time.perf_counter() - append_begin
     assert store.num_events == NUM_EVENTS
 
@@ -102,23 +101,22 @@ def _workload(store_dir: str, result_queue) -> None:
         sliced_events += window.num_events
     slice_elapsed = time.perf_counter() - slice_begin
 
-    # ---- per-node temporal queries against the shard CSR --------------- #
-    shard_nodes = shard_map.nodes_of(0)
-    query_nodes = rng.choice(shard_nodes, NUM_NODE_QUERIES)
+    # ---- per-node temporal queries against the worker's index ---------- #
+    query_nodes = rng.integers(0, NUM_NODES, NUM_NODE_QUERIES)
     query_times = rng.uniform(0.0, last_time, NUM_NODE_QUERIES)
     query_begin = time.perf_counter()
     touched = 0
     for node, before in zip(query_nodes, query_times):
-        neighbors, _, _ = shard_view.node_events(int(node), before=float(before))
+        neighbors, _, _ = worker_view.node_events(int(node), before=float(before))
         touched += len(neighbors)
     query_elapsed = time.perf_counter() - query_begin
 
     peak_rss_mb = _peak_rss_mb()
-    shard_index = shard_view.adjacency()
+    index = worker_view.adjacency()
     # What the same entries cost as a compact CSR: three 8-byte columns plus
     # indptr — the floor the index's slack and per-node arrays are paid over.
-    compact_bytes = shard_index.num_entries * 24 + (NUM_NODES + 1) * 8
-    index_bytes = shard_index.memory_footprint_bytes()
+    compact_bytes = index.num_entries * 24 + (NUM_NODES + 1) * 8
+    index_bytes = index.memory_footprint_bytes()
     result_queue.put({
         "append_events_per_sec": NUM_EVENTS / append_elapsed,
         "append_elapsed_s": append_elapsed,
@@ -127,8 +125,8 @@ def _workload(store_dir: str, result_queue) -> None:
         "node_queries_per_sec": NUM_NODE_QUERIES / query_elapsed,
         "neighbors_touched": int(touched),
         "peak_rss_mb": peak_rss_mb,
-        "shard_csr_mb": index_bytes / 2**20,
-        "shard_csr_over_compact": index_bytes / compact_bytes,
+        "csr_mb": index_bytes / 2**20,
+        "csr_over_compact": index_bytes / compact_bytes,
         "store_disk_mb": store.memory_footprint_bytes() / 2**20,
     })
 
@@ -152,7 +150,6 @@ def test_storage_scale():
         "workload": {
             "num_events": NUM_EVENTS, "num_nodes": NUM_NODES,
             "feature_dim": FEATURE_DIM, "append_chunk": CHUNK,
-            "num_shards": NUM_SHARDS,
         },
         "append_events_per_sec": round(metrics["append_events_per_sec"], 1),
         "append_elapsed_s": round(metrics["append_elapsed_s"], 2),
@@ -160,8 +157,8 @@ def test_storage_scale():
         "node_queries_per_sec": round(metrics["node_queries_per_sec"], 1),
         "peak_rss_mb": round(metrics["peak_rss_mb"], 1),
         "rss_ceiling_mb": RSS_CEILING_MB,
-        "shard_csr_mb": round(metrics["shard_csr_mb"], 1),
-        "shard_csr_over_compact": round(metrics["shard_csr_over_compact"], 2),
+        "csr_mb": round(metrics["csr_mb"], 1),
+        "csr_over_compact": round(metrics["csr_over_compact"], 2),
         "store_disk_mb": round(metrics["store_disk_mb"], 1),
     }
     write_bench_record(_RESULT_PATH, record)
@@ -171,8 +168,8 @@ def test_storage_scale():
     print(f"query:  {record['node_queries_per_sec']:12,.0f} node histories/s")
     print(f"peak RSS {record['peak_rss_mb']:.0f} MB "
           f"(ceiling {RSS_CEILING_MB:.0f} MB); "
-          f"shard index {record['shard_csr_mb']:.0f} MB touched "
-          f"({record['shard_csr_over_compact']:.2f}x a compact CSR); "
+          f"index {record['csr_mb']:.0f} MB touched "
+          f"({record['csr_over_compact']:.2f}x a compact CSR); "
           f"store on disk {record['store_disk_mb']:.0f} MB")
 
     assert metrics["peak_rss_mb"] < RSS_CEILING_MB, (

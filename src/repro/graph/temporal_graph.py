@@ -24,8 +24,9 @@ Storage layout (unchanged in spirit): events live in pre-allocated,
 amortised-doubling columns, so appends are O(1) amortised array writes with
 no per-event Python objects; the adjacency index is folded incrementally per
 appended batch at a cost independent of the stream's length.  See
-``src/repro/storage/`` for the underlying pieces and the sharding layer
-(:class:`~repro.storage.shard_map.ShardMap`) built on the same views.
+``src/repro/storage/`` for the underlying pieces; the serving workers route
+against the same :class:`~repro.storage.graph_view.GraphView` over a shared
+store.
 """
 
 from __future__ import annotations

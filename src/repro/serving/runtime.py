@@ -20,7 +20,7 @@ Dataflow
          │ backpressure: submit blocks      │   CPU-heavy: φ, k-hop frontier,
          │ while backlog ≥ max_backlog      │   f, ρ on the SHARED store)
          │                                  │  deliver            (serialised
-         └───── shared mailbox arrays ◄─────┘   or shard-local, see below)
+         └───── shared mailbox arrays ◄─────┘   in batch order, see below)
                 (multiprocessing.shared_memory)
 
 * **Shared-memory mailbox** — :meth:`repro.core.mailbox.Mailbox.share_memory`
@@ -37,33 +37,22 @@ Dataflow
   propagation would — with **one** physical copy of the stream per machine
   instead of one private ``TemporalGraph`` per worker (the former scaling
   wall: per-worker ingest cost and O(events × workers) resident memory).
-* **In-order delivery** (flat :class:`~repro.core.mailbox.Mailbox`) —
-  routing (the heavy part) runs concurrently across workers (batch ``seq``
-  goes to worker ``seq % num_workers``); the final ψ write into the shared
+* **In-order delivery** — routing (the heavy part) runs concurrently across
+  workers (batch ``seq`` goes to worker ``seq % num_workers``, and every
+  worker routes over the whole graph); the final ψ write into the shared
   mailbox is serialised in strict batch order by a shared sequence counter,
   so the delivered-mail state is *identical* to single-process sequential
-  propagation (the equivalence tests pin this, bit for bit, for the deterministic ``fifo``/``newest_overwrite`` policies).
-* **Shard-local delivery**
-  (:class:`~repro.storage.sharded_mailbox.ShardedMailbox`) — with a sharded
-  mailbox and ``num_workers == num_shards``, worker ``w`` attaches *only*
-  shard ``w``'s mailbox segments.  Every worker routes every batch (k-hop
-  frontiers cross shard boundaries, so routing needs the full adjacency —
-  which is cheap here, as the store itself is shared), then filters the
-  reduced receivers to its own shard and delivers *without any cross-worker
-  serialisation*: each node's mail sequence comes from exactly one worker
-  processing batches in order, and the ρ reduction is per-node, so the
-  result is still bit-equal to sequential propagation.  The trade is K×
-  duplicated routing compute for zero inter-worker coordination and
-  O(1/K)-sized per-worker mailbox state — the classic
-  replicated-compute/partitioned-state point in the design space.
+  propagation (the equivalence tests pin this, bit for bit, for the
+  deterministic ``fifo``/``newest_overwrite`` policies).
 * **Bounded backlog** — :meth:`ServingRuntime.submit` blocks while
   ``submitted − delivered ≥ max_backlog``, so memory stays bounded when the
   stream outruns the workers (backpressure is applied *behind* the decision:
   the score has already been returned when submit blocks).
-* **Bounded-staleness watermark** — workers advance a shared event-time
-  watermark (the ``end_time`` of the last fully delivered batch; with shards,
-  the minimum across workers).  A decision can report exactly how stale the
-  mailbox snapshot it read was: ``batch.end_time − watermark``.
+* **Bounded-staleness watermark** — each worker records the ``end_time`` of
+  the last batch it delivered; the watermark is their maximum, the end of
+  the last fully delivered batch (delivery is in batch order).  A decision
+  can report exactly how stale the mailbox snapshot it read was:
+  ``batch.end_time − watermark``.
 * **Graceful drain** — ``close()`` drains the backlog before tearing down;
   a worker receiving ``SIGTERM`` flushes every task already submitted before
   exiting, so no mail is ever lost on shutdown.  A *failed* ``start()``
@@ -93,7 +82,6 @@ from ..graph.batching import EventBatch
 from ..obs import NULL_TELEMETRY, Telemetry, TelemetrySpec
 from ..storage.event_store import EventStore, EventStoreHandle
 from ..storage.graph_view import GraphView
-from ..storage.sharded_mailbox import ShardedMailbox, ShardedMailboxHandle
 
 __all__ = [
     "RuntimeConfig",
@@ -296,9 +284,7 @@ class _WorkerSetup:
     """Static, picklable part of a worker's configuration."""
 
     worker_id: int
-    num_workers: int
-    sharded: bool
-    mailbox_handle: object  # SharedMailboxHandle | ShardedMailboxHandle
+    mailbox_handle: SharedMailboxHandle
     store_handle: EventStoreHandle
     spec: PropagatorSpec
     nice_increment: int
@@ -324,10 +310,11 @@ def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
                  watermark, lag_sum, submitted, cond, ready) -> None:
     """Propagation worker: route concurrently against the shared store.
 
-    Runs in a child process.  ``delivered``/``completed``/``watermark``/
-    ``lag_sum`` are per-worker slots of shared arrays guarded by ``cond``;
-    ``submitted`` is written by the parent (under ``cond``) and read here
-    only while draining after SIGTERM.
+    Runs in a child process.  ``delivered`` is the shared count of batches
+    delivered so far (the next ``seq`` allowed to apply);
+    ``completed``/``watermark``/``lag_sum`` are per-worker slots of shared
+    arrays.  All are guarded by ``cond``; ``submitted`` is written by the
+    parent (under ``cond``) and read here only while draining after SIGTERM.
     """
     if setup.nice_increment:
         try:
@@ -335,12 +322,7 @@ def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
         except OSError:
             pass  # a sandbox may forbid renicing; run at normal priority
     worker_id = setup.worker_id
-    if setup.sharded:
-        mailbox = ShardedMailbox.attach(setup.mailbox_handle, shards=[worker_id])
-        shard_map = setup.mailbox_handle.shard_map
-    else:
-        mailbox = Mailbox.attach(setup.mailbox_handle)
-        shard_map = None
+    mailbox = Mailbox.attach(setup.mailbox_handle)
     store = setup.store_handle.open()
     # Writer slot 0 belongs to the scorer; workers publish as 1..num_workers.
     telemetry = NULL_TELEMETRY if setup.telemetry_handle is None \
@@ -402,45 +384,26 @@ def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
                 nodes, mails, times, _ = propagator.route_and_reduce(
                     batch, task.src_embeddings, task.dst_embeddings
                 )
-            apply_span = telemetry.span("worker.apply", arg=task.seq)
-            if setup.sharded:
-                # Shard-local ψ: deliver only to our shard's nodes, no
-                # cross-worker ordering needed — each node's mail sequence
-                # comes from exactly this worker, in batch order.
-                with apply_span:
-                    keep = shard_map.shard_of(nodes) == worker_id if len(nodes) \
-                        else np.zeros(0, dtype=bool)
-                    mailbox.deliver(nodes[keep], mails[keep], times[keep])
-                    mails_delivered = int(keep.sum())
+            # Cheap half, serialised: wait for our turn in batch order, then
+            # write into the shared mailbox.  Exclusivity needs no lock
+            # around the write itself — only the worker whose seq matches the
+            # counter may proceed, and only it advances it.  The apply span
+            # covers the ordering wait too: serialisation stalls are exactly
+            # what the trace should show.
+            with telemetry.span("worker.apply", arg=task.seq):
                 with cond:
-                    delivered[worker_id] = task.seq + 1
-                    completed[worker_id] += 1
-                    if end_time is not None:
-                        watermark[worker_id] = max(watermark[worker_id], end_time)
-                    lag_sum[worker_id] += time.monotonic() - task.submitted_wall
-                    cond.notify_all()
-            else:
-                # Cheap half, serialised: wait for our turn in batch order,
-                # then write into the shared mailbox.  Exclusivity needs no
-                # lock around the write itself — only the worker whose seq
-                # matches the counter may proceed, and only it advances it.
-                # The apply span covers the ordering wait too: serialisation
-                # stalls are exactly what the trace should show.
-                with apply_span:
-                    with cond:
-                        while delivered[0] != task.seq:
-                            cond.wait(1.0)
-                    mailbox.deliver(nodes, mails, times)
-                    mails_delivered = len(nodes)
-                with cond:
-                    delivered[0] = task.seq + 1
-                    completed[worker_id] += 1
-                    if end_time is not None:
-                        watermark[0] = max(watermark[0], end_time)
-                    lag_sum[worker_id] += time.monotonic() - task.submitted_wall
-                    cond.notify_all()
+                    while delivered.value != task.seq:
+                        cond.wait(1.0)
+                mailbox.deliver(nodes, mails, times)
+            with cond:
+                delivered.value = task.seq + 1
+                completed[worker_id] += 1
+                if end_time is not None:
+                    watermark[worker_id] = max(watermark[worker_id], end_time)
+                lag_sum[worker_id] += time.monotonic() - task.submitted_wall
+                cond.notify_all()
             telemetry.count("batches.delivered")
-            telemetry.count("mails.delivered", float(mails_delivered))
+            telemetry.count("mails.delivered", float(len(nodes)))
             if end_time is not None:
                 telemetry.gauge("watermark", end_time)
     finally:
@@ -463,10 +426,6 @@ class ServingRuntime:
 
     Also usable as a context manager (``with ServingRuntime.for_model(m) as
     rt:``), which starts on enter and closes on exit.
-
-    Pass a :class:`~repro.storage.sharded_mailbox.ShardedMailbox` (with
-    ``num_workers == num_shards``) to run in sharded mode: each worker then
-    attaches a single shard's mailbox segments and delivers shard-locally.
     """
 
     def __init__(self, mailbox, spec: PropagatorSpec,
@@ -474,12 +433,6 @@ class ServingRuntime:
         self.mailbox = mailbox
         self.spec = spec
         self.config = (config or RuntimeConfig()).validate()
-        self._sharded = isinstance(mailbox, ShardedMailbox)
-        if self._sharded and mailbox.num_shards != self.config.num_workers:
-            raise ValueError(
-                f"sharded serving needs one worker per shard: mailbox has "
-                f"{mailbox.num_shards} shards, config asks for "
-                f"{self.config.num_workers} workers")
         self._started = False
         self._workers: list = []
         self._queues: list = []
@@ -545,7 +498,7 @@ class ServingRuntime:
             self._store.telemetry = self._telemetry
             ctx = mp.get_context(self.config.resolved_start_method())
             self._cond = ctx.Condition()
-            self._delivered = ctx.Array("q", num_workers, lock=False)
+            self._delivered = ctx.Value("q", 0, lock=False)
             self._completed = ctx.Array("q", num_workers, lock=False)
             self._watermark = ctx.Array(
                 "d", [float(initial_watermark)] * num_workers, lock=False)
@@ -559,8 +512,7 @@ class ServingRuntime:
                 ctx.Process(
                     target=_worker_main,
                     args=(_WorkerSetup(
-                              worker_id=worker_id, num_workers=num_workers,
-                              sharded=self._sharded, mailbox_handle=handle,
+                              worker_id=worker_id, mailbox_handle=handle,
                               store_handle=self._store.handle(), spec=self.spec,
                               nice_increment=self.config.worker_nice,
                               telemetry_handle=telemetry_handle),
@@ -671,12 +623,6 @@ class ServingRuntime:
     # ------------------------------------------------------------------ #
     # Hot path
     # ------------------------------------------------------------------ #
-    def _delivered_floor(self) -> int:
-        """Batches known delivered everywhere (caller must hold the cond)."""
-        if self._sharded:
-            return min(self._delivered[:])
-        return int(self._delivered[0])
-
     def _prune_inflight(self, delivered: int) -> None:
         """Forget submit walls of delivered batches (at most ``max_backlog`` stay)."""
         while self._inflight_walls and self._inflight_walls[0][0] < delivered:
@@ -695,24 +641,22 @@ class ServingRuntime:
             raise RuntimeError("runtime is not started")
         telemetry = self._telemetry
         deadline = time.monotonic() + self.config.submit_timeout_s
-        targets = range(self.config.num_workers) if self._sharded \
-            else [self._submitted % self.config.num_workers]
+        worker_id = self._submitted % self.config.num_workers
         with telemetry.span("scorer.submit") as submit_span:
             with self._cond:
-                while self._submitted - self._delivered_floor() >= self.config.max_backlog:
+                while self._submitted - self._delivered.value >= self.config.max_backlog:
                     self._check_workers_alive()
                     if time.monotonic() > deadline:
                         raise RuntimeError(
                             f"backpressure timeout: backlog stuck at "
-                            f"{self._submitted - self._delivered_floor()} for "
+                            f"{self._submitted - self._delivered.value} for "
                             f"{self.config.submit_timeout_s}s"
                         )
                     self._cond.wait(0.5)
                 seq = self._submitted
                 self._submitted += 1
-                for worker_id in targets:
-                    self._submitted_shared[worker_id] += 1
-                delivered = self._delivered_floor()
+                self._submitted_shared[worker_id] += 1
+                delivered = self._delivered.value
                 backlog = self._submitted - delivered
                 self._max_backlog_seen = max(self._max_backlog_seen, backlog)
             self._prune_inflight(delivered)
@@ -731,8 +675,7 @@ class ServingRuntime:
                 submitted_wall=time.monotonic(),
             )
             self._inflight_walls.append((seq, task.submitted_wall))
-            for worker_id in targets:
-                self._queues[worker_id].put(task)
+            self._queues[worker_id].put(task)
             submit_span.set_arg(task.stop_row - start_row)
         telemetry.gauge("backlog", float(backlog))
         telemetry.count("batches.submitted")
@@ -746,11 +689,11 @@ class ServingRuntime:
         deadline = time.monotonic() + (timeout_s if timeout_s is not None
                                        else self.config.drain_timeout_s)
         with self._cond:
-            while self._delivered_floor() < self._submitted:
+            while self._delivered.value < self._submitted:
                 self._check_workers_alive()
                 if time.monotonic() > deadline:
                     raise RuntimeError(
-                        f"drain timeout: {self._submitted - self._delivered_floor()} "
+                        f"drain timeout: {self._submitted - self._delivered.value} "
                         f"batches still undelivered"
                     )
                 self._cond.wait(0.5)
@@ -763,10 +706,9 @@ class ServingRuntime:
         if not self._started:
             return StalenessSnapshot(backlog=0, watermark=float("inf"))
         with self._cond:
-            delivered = self._delivered_floor()
+            delivered = self._delivered.value
             backlog = self._submitted - delivered
-            watermark = min(self._watermark[:]) if self._sharded \
-                else self._watermark[0]
+            watermark = max(self._watermark[:])
         self._prune_inflight(delivered)
         staleness_ms = 0.0
         if backlog and self._inflight_walls:
@@ -801,7 +743,7 @@ class ServingRuntime:
                 per_worker_mean_lag_ms=[],
                 metrics=self._telemetry.snapshot())
         with self._cond:
-            delivered_floor = self._delivered_floor()
+            delivered = self._delivered.value
             per_worker_completed = list(self._completed[:])
             per_worker_watermark = list(self._watermark[:])
             per_worker_lag_sum = list(self._lag_sum[:])
@@ -812,7 +754,7 @@ class ServingRuntime:
         return RuntimeTelemetrySnapshot(
             backlog=staleness.backlog,
             submitted=self._submitted,
-            delivered=delivered_floor,
+            delivered=delivered,
             watermark=staleness.watermark,
             staleness_ms=staleness.staleness_ms,
             per_worker_delivered=per_worker_completed,
@@ -830,7 +772,7 @@ class ServingRuntime:
         if not self._started:
             return self._submitted
         with self._cond:
-            return self._delivered_floor()
+            return self._delivered.value
 
     @property
     def max_backlog_seen(self) -> int:
@@ -843,19 +785,14 @@ class ServingRuntime:
         return self._store
 
     def mean_delivery_lag_ms(self) -> float:
-        """Mean wall-clock time from submit to delivery completion.
-
-        In sharded mode every batch completes once per worker; the mean is
-        over those per-worker completions.
-        """
+        """Mean wall-clock time from submit to delivery completion."""
         if not self._started:
             return 0.0
         with self._cond:
-            completions = sum(self._delivered[:]) if self._sharded \
-                else int(self._delivered[0])
-            if completions == 0:
+            delivered = self._delivered.value
+            if delivered == 0:
                 return 0.0
-            return 1000.0 * sum(self._lag_sum[:]) / completions
+            return 1000.0 * sum(self._lag_sum[:]) / delivered
 
     def workers_alive(self) -> int:
         return sum(worker.is_alive() for worker in self._workers)

@@ -1,24 +1,18 @@
-"""Columnar event storage, zero-copy graph views and node sharding.
+"""Columnar event storage and zero-copy graph views.
 
 The storage/view split (ROADMAP item 2): an append-only columnar
 :class:`EventStore` (optionally ``np.memmap``-backed so processes share one
-physical copy), cheap :class:`GraphView` slice trackers over it, and
-node-shard partitioning (:class:`ShardMap`, :class:`ShardedMailbox`) so a
-serving worker attaches a single shard's state instead of ingesting the full
-stream.  ``repro.graph.TemporalGraph`` is a thin façade over these.
+physical copy) and cheap :class:`GraphView` slice trackers over it, each
+owning one :class:`CsrIndex` of its window's adjacency.
+``repro.graph.TemporalGraph`` is a thin façade over these.
 """
 
 from .event_store import EventStore, EventStoreHandle
 from .graph_view import CsrIndex, GraphView
-from .shard_map import ShardMap
-from .sharded_mailbox import ShardedMailbox, ShardedMailboxHandle
 
 __all__ = [
     "EventStore",
     "EventStoreHandle",
     "CsrIndex",
     "GraphView",
-    "ShardMap",
-    "ShardedMailbox",
-    "ShardedMailboxHandle",
 ]

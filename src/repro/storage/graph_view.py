@@ -14,10 +14,7 @@ indexed (the point of "Answering FO+MOD queries under updates"): every node
 owns a contiguous, chronological segment with power-of-two slack inside
 growable arenas, so folding a batch sorts and writes only the batch's own
 entries and moves only the segments that outgrew their slack — amortised
-O(new entries), whatever the stream length.  An index can be restricted to
-a :class:`~repro.storage.shard_map.ShardMap` shard, in which case it only
-materialises the shard's rows — the per-shard index a sharded serving
-worker maintains.
+O(new entries), whatever the stream length.
 
 Three view flavours share one class:
 
@@ -41,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .event_store import _grow
-from .shard_map import ShardMap
 
 __all__ = ["CsrIndex", "GraphView"]
 
@@ -78,25 +74,18 @@ class CsrIndex:
     segments that outgrew their block (to a block twice as large at the
     arena's tail) and one scatter write per arena — amortised O(new entries),
     independent of how much is already indexed.  Blocks abandoned by moves
-    are reclaimed by rewriting the arenas once they outnumber the live
-    entries, which keeps ``touched_slots < 3 * num_entries`` (segments < 2x,
-    abandoned blocks <= 1x) at amortised O(1) per entry.
+    are reclaimed by repacking the live blocks in place once they outnumber
+    the live entries, which keeps ``touched_slots < 3 * num_entries``
+    (segments < 2x, abandoned blocks <= 1x) at amortised O(1) per entry.
+    Growth replaces one arena at a time, so neither path ever holds two
+    copies of all three arenas.
 
     Readers address the arenas through :meth:`segments`; :meth:`view` derives
     the compact ``(indptr, ...)`` CSR for tests and offline use.
-
-    With ``node_mask`` the index only materialises entries whose endpoint
-    falls in the mask — a per-shard index costs ``O(shard degree)`` memory
-    (under 3x the shard's entries, see above) plus two ``int64`` per node of
-    the id space, not ``O(total degree)``.
     """
 
-    def __init__(self, num_nodes: int, node_mask: np.ndarray | None = None):
+    def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
-        self._node_mask = None if node_mask is None \
-            else np.asarray(node_mask, dtype=bool)
-        if self._node_mask is not None and len(self._node_mask) != num_nodes:
-            raise ValueError("node_mask must have num_nodes entries")
         self._start = np.zeros(num_nodes, dtype=np.int64)
         self._len = np.zeros(num_nodes, dtype=np.int64)
         self._arenas = [np.empty(0, dtype=np.int64),    # neighbors
@@ -170,14 +159,6 @@ class CsrIndex:
         entry_edges = np.repeat(
             np.arange(first_edge_id, first_edge_id + block, dtype=np.int64), 2)
         entry_times = np.repeat(np.asarray(timestamps, dtype=np.float64), 2)
-        if self._node_mask is not None:
-            keep = self._node_mask[entry_nodes]
-            entry_nodes = entry_nodes[keep]
-            entry_neighbors = entry_neighbors[keep]
-            entry_edges = entry_edges[keep]
-            entry_times = entry_times[keep]
-            if len(entry_nodes) == 0:
-                return
 
         # Group the block's entries by node; the stable sort keeps each
         # node's run in block (= time) order.
@@ -196,8 +177,11 @@ class CsrIndex:
         outgrown = capacity > old_capacity
         if outgrown.any():
             needed = self._tail + int(capacity[outgrown].sum())
-            self._arenas = [_grow(arena, needed) for arena in self._arenas]
-            self._relocate(nodes[outgrown], capacity[outgrown], self._arenas)
+            # One arena at a time: each old arena is freed before the next
+            # one is copied.
+            for i in range(len(self._arenas)):
+                self._arenas[i] = _grow(self._arenas[i], needed)
+            self._relocate(nodes[outgrown], capacity[outgrown])
             self._dead += int(old_capacity[outgrown].sum())
 
         # New entries land at their segment's tail, in block order.
@@ -210,31 +194,36 @@ class CsrIndex:
         if self._dead > self._live:
             self._compact()
 
-    def _relocate(self, nodes: np.ndarray, capacity: np.ndarray,
-                  source: list[np.ndarray]) -> None:
-        """Move ``nodes``' segments out of ``source`` into fresh blocks of
-        ``capacity`` slots at the arenas' tail."""
+    def _relocate(self, nodes: np.ndarray, capacity: np.ndarray) -> None:
+        """Move ``nodes``' segments into consecutive blocks of ``capacity``
+        slots starting at the arenas' tail.
+
+        All of ``nodes``' entries are gathered before any is written, so the
+        new blocks may overlap ``nodes``' old blocks (as when compacting),
+        though never another live segment.
+        """
         lengths = self._len[nodes]
         start = self._tail + np.cumsum(capacity) - capacity
         old_slots = _ragged_range(self._start[nodes], lengths)
         new_slots = _ragged_range(start, lengths)
-        for arena, old in zip(self._arenas, source):
-            arena[new_slots] = old[old_slots]
+        for arena in self._arenas:
+            arena[new_slots] = arena[old_slots]
         self._start[nodes] = start
         self._tail += int(capacity.sum())
 
     def _compact(self) -> None:
-        """Rewrite the arenas without the blocks abandoned by moves."""
+        """Repack every live block from the arenas' front, in place,
+        dropping the blocks abandoned by moves."""
         nodes = np.flatnonzero(self._len)
-        source = self._arenas
-        self._arenas = [np.empty_like(arena) for arena in source]
         self._tail = self._dead = 0
-        self._relocate(nodes, _capacity(self._len[nodes]), source)
+        self._relocate(nodes, _capacity(self._len[nodes]))
 
     def memory_footprint_bytes(self) -> int:
-        """Bytes the index has touched: handed-out arena slots plus the
-        per-node arrays (reserved-but-untouched arena capacity costs address
-        space, not memory)."""
+        """Bytes of the handed-out arena slots plus the per-node arrays.
+
+        Arena capacity past the tail is not counted: untouched it costs
+        address space, not memory, and slots a compaction freed are reused
+        by the next folds before the arenas grow again."""
         slot_bytes = sum(arena.itemsize for arena in self._arenas)
         return self._tail * slot_bytes + self._start.nbytes + self._len.nbytes
 
@@ -250,30 +239,21 @@ class GraphView:
     store itself) to get an appendable copy.
     """
 
-    def __init__(self, store, start: int = 0, stop: int | None = None,
-                 shard_map: ShardMap | None = None, shard: int | None = None):
+    def __init__(self, store, start: int = 0, stop: int | None = None):
         if start < 0:
             raise ValueError("start must be non-negative")
         if stop is not None and stop < start:
             raise ValueError("stop must be >= start")
-        if (shard_map is None) != (shard is None):
-            raise ValueError("shard_map and shard must be given together")
-        if shard_map is not None and not 0 <= shard < shard_map.num_shards:
-            raise ValueError(f"shard out of range: {shard}")
         self.store = store
         self._start = start
         self._stop = stop
         self._selection: np.ndarray | None = None
-        self.shard_map = shard_map
-        self.shard = shard
         self._index: CsrIndex | None = None
         self._indexed = 0  # view-local event count folded into _index
 
     @classmethod
-    def _from_selection(cls, store, selection: np.ndarray,
-                        shard_map: ShardMap | None = None,
-                        shard: int | None = None) -> "GraphView":
-        view = cls(store, 0, 0, shard_map, shard)
+    def _from_selection(cls, store, selection: np.ndarray) -> "GraphView":
+        view = cls(store, 0, 0)
         view._selection = np.asarray(selection, dtype=np.int64)
         return view
 
@@ -383,9 +363,7 @@ class GraphView:
         """
         target = self.num_events
         if self._index is None:
-            mask = None if self.shard_map is None \
-                else self.shard_map.mask(self.shard)
-            self._index = CsrIndex(self.num_nodes, node_mask=mask)
+            self._index = CsrIndex(self.num_nodes)
         if self._indexed < target:
             with self.store.telemetry.span("view.fold",
                                            arg=target - self._indexed):
@@ -408,18 +386,10 @@ class GraphView:
         """
         return self.adjacency().view()
 
-    def _check_shard_member(self, node: int) -> None:
-        if self.shard_map is not None and 0 <= node < self.num_nodes:
-            if int(self.shard_map.shard_of(np.asarray([node]))[0]) != self.shard:
-                raise ValueError(
-                    f"node {node} is not in shard {self.shard}; this view only "
-                    f"indexes its own shard's adjacency")
-
     def degree(self, node: int, before: float | None = None) -> int:
         """Number of view events the node participates in (optionally before t)."""
         if not 0 <= node < self.num_nodes:
             return 0
-        self._check_shard_member(node)
         index = self.adjacency()
         start, stop = map(int, index.segments(node))
         if before is None:
@@ -438,7 +408,6 @@ class GraphView:
         if not 0 <= node < self.num_nodes:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), np.empty(0, dtype=np.float64)
-        self._check_shard_member(node)
         index = self.adjacency()
         start, stop = map(int, index.segments(node))
         if before is not None:
@@ -449,7 +418,7 @@ class GraphView:
                 index.times[start:stop])
 
     def active_nodes(self) -> np.ndarray:
-        """Nodes with at least one view event (within the shard, if sharded)."""
+        """Nodes with at least one view event."""
         return np.flatnonzero(self.adjacency().degrees)
 
     # ------------------------------------------------------------------ #
@@ -465,11 +434,8 @@ class GraphView:
         lo = int(np.searchsorted(times, start_time, side="left"))
         hi = int(np.searchsorted(times, end_time, side="left"))
         if self._selection is not None:
-            return GraphView._from_selection(self.store,
-                                             self._selection[lo:hi],
-                                             self.shard_map, self.shard)
-        return GraphView(self.store, self._start + lo, self._start + hi,
-                         self.shard_map, self.shard)
+            return GraphView._from_selection(self.store, self._selection[lo:hi])
+        return GraphView(self.store, self._start + lo, self._start + hi)
 
     def slice_events(self, start: int, stop: int) -> "GraphView":
         """Events ``[start, stop)`` (view-local indices) as a zero-copy view."""
@@ -477,10 +443,8 @@ class GraphView:
         stop = max(start, min(stop, self.num_events))
         if self._selection is not None:
             return GraphView._from_selection(self.store,
-                                             self._selection[start:stop],
-                                             self.shard_map, self.shard)
-        return GraphView(self.store, self._start + start, self._start + stop,
-                         self.shard_map, self.shard)
+                                             self._selection[start:stop])
+        return GraphView(self.store, self._start + start, self._start + stop)
 
     def select(self, indices: np.ndarray) -> "GraphView":
         """An explicit event subset (sorted view-local indices)."""
@@ -490,10 +454,8 @@ class GraphView:
         if np.any(np.diff(indices) < 0):
             raise ValueError("selection indices must be sorted (chronological)")
         if self._selection is not None:
-            return GraphView._from_selection(self.store, self._selection[indices],
-                                             self.shard_map, self.shard)
-        return GraphView._from_selection(self.store, self._start + indices,
-                                         self.shard_map, self.shard)
+            return GraphView._from_selection(self.store, self._selection[indices])
+        return GraphView._from_selection(self.store, self._start + indices)
 
     def node_slice(self, nodes: np.ndarray) -> "GraphView":
         """Events touching any of ``nodes`` (as src or dst), chronological."""
@@ -501,16 +463,7 @@ class GraphView:
         mask = np.isin(self.src, nodes) | np.isin(self.dst, nodes)
         return self.select(np.where(mask)[0])
 
-    def for_shard(self, shard_map: ShardMap, shard: int) -> "GraphView":
-        """The same window with the CSR index restricted to one shard."""
-        if self._selection is not None:
-            return GraphView._from_selection(self.store, self._selection,
-                                             shard_map, shard)
-        return GraphView(self.store, self._start, self._stop, shard_map, shard)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         window = f"selection[{len(self._selection)}]" if self._selection is not None \
             else f"[{self._start}, {'live' if self._stop is None else self._stop})"
-        shard = "" if self.shard_map is None \
-            else f", shard={self.shard}/{self.shard_map.num_shards}"
-        return f"GraphView({window} of {self.store!r}{shard})"
+        return f"GraphView({window} of {self.store!r})"

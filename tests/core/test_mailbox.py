@@ -1,5 +1,9 @@
 """Tests for the fixed-slot FIFO mailbox."""
 
+import multiprocessing as mp
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -148,3 +152,201 @@ class TestUtilities:
         small = Mailbox(100, 10, 8).memory_footprint_bytes()
         large = Mailbox(200, 10, 8).memory_footprint_bytes()
         assert large == pytest.approx(2 * small, rel=0.01)
+
+
+def _random_deliveries(rng, num_nodes, mail_dim, rounds=6, batch=12):
+    for _ in range(rounds):
+        nodes = rng.integers(0, num_nodes, batch)
+        mails = rng.normal(size=(batch, mail_dim))
+        times = np.sort(rng.uniform(0.0, 100.0, batch))
+        yield nodes, mails, times
+
+
+def _state(box):
+    return (box.mails, box.mail_times, box.valid, box._next_slot,
+            box._delivered)
+
+
+def _assert_same_state(got, want):
+    for got_array, want_array in zip(_state(got), _state(want)):
+        assert np.array_equal(got_array, want_array)
+
+
+def _segment_paths(handle):
+    return [Path("/dev/shm") / name for name in handle.segments.values()]
+
+
+def _deliver_in_child(handle, node, mail_dim):
+    attached = Mailbox.attach(handle)
+    try:
+        attached.deliver(np.asarray([node]), np.full((1, mail_dim), 7.0),
+                         np.asarray([1.0]))
+    finally:
+        attached.release_shared()
+
+
+class TestSharedMemory:
+    """The one mailbox every serving worker writes into, through shared pages."""
+
+    NODES, SLOTS, DIM = 40, 3, 5
+
+    def make(self, **kwargs):
+        return Mailbox(self.NODES, self.SLOTS, self.DIM, **kwargs)
+
+    @pytest.mark.parametrize("policy", ["fifo", "newest_overwrite", "reservoir"])
+    def test_delivery_in_shared_memory_equals_private(self, policy):
+        rng = np.random.default_rng(0)
+        private = self.make(update_policy=policy, seed=9)
+        shared = self.make(update_policy=policy, seed=9)
+        deliveries = list(_random_deliveries(rng, self.NODES, self.DIM))
+        for nodes, mails, times in deliveries[:3]:
+            private.deliver(nodes, mails, times)
+            shared.deliver(nodes, mails, times)
+        shared.share_memory()
+        try:
+            _assert_same_state(shared, private)
+            for nodes, mails, times in deliveries[3:]:
+                private.deliver(nodes, mails, times)
+                shared.deliver(nodes, mails, times)
+            _assert_same_state(shared, private)
+        finally:
+            shared.release_shared()
+        _assert_same_state(shared, private)
+
+    def test_double_share_raises(self):
+        box = self.make()
+        box.share_memory()
+        try:
+            with pytest.raises(RuntimeError, match="already"):
+                box.share_memory()
+        finally:
+            box.release_shared()
+
+    def test_release_unlinks_segments_and_keeps_state(self):
+        box = self.make()
+        box.deliver(np.array([3]), np.ones((1, self.DIM)), np.array([2.0]))
+        handle = box.share_memory()
+        assert box.is_shared
+        paths = _segment_paths(handle)
+        assert len(paths) == 5 and all(path.exists() for path in paths)
+        box.release_shared()
+        assert not box.is_shared
+        assert not any(path.exists() for path in paths)
+        assert all(array.base is None for array in _state(box))
+        assert box.occupancy(np.array([3]))[0] == 1
+
+    def test_release_of_private_mailbox_is_noop(self):
+        box = self.make()
+        before = [array.copy() for array in _state(box)]
+        box.release_shared()
+        assert not box.is_shared
+        for got, want in zip(_state(box), before):
+            assert np.array_equal(got, want)
+
+    def test_attached_mailbox_sees_owner_state_and_writes(self):
+        rng = np.random.default_rng(1)
+        owner = self.make()
+        for nodes, mails, times in _random_deliveries(rng, self.NODES, self.DIM):
+            owner.deliver(nodes, mails, times)
+        handle = owner.share_memory()
+        try:
+            attached = Mailbox.attach(handle)
+            try:
+                _assert_same_state(attached, owner)
+                owner.deliver(np.array([0, 1]), np.full((2, self.DIM), 3.0),
+                              np.array([200.0, 201.0]))
+                _assert_same_state(attached, owner)
+            finally:
+                attached.release_shared()
+        finally:
+            owner.release_shared()
+
+    def test_owner_sees_attached_writes(self):
+        owner = self.make()
+        handle = owner.share_memory()
+        try:
+            attached = Mailbox.attach(handle)
+            attached.deliver(np.array([5]), np.full((1, self.DIM), 4.0),
+                             np.array([1.5]))
+            attached.release_shared()
+            mails, times, valid = owner.read(np.array([5]))
+            assert valid[0].sum() == 1
+            assert np.all(mails[0, 0] == 4.0) and times[0, 0] == 1.5
+        finally:
+            owner.release_shared()
+
+    def test_attached_release_leaves_segments_to_owner(self):
+        owner = self.make()
+        handle = owner.share_memory()
+        try:
+            Mailbox.attach(handle).release_shared()
+            assert owner.is_shared
+            assert all(path.exists() for path in _segment_paths(handle))
+            # A second attach after the first detached still maps live pages.
+            again = Mailbox.attach(handle)
+            again.deliver(np.array([2]), np.ones((1, self.DIM)), np.array([1.0]))
+            again.release_shared()
+            assert owner.occupancy(np.array([2]))[0] == 1
+        finally:
+            owner.release_shared()
+
+    def test_handle_survives_pickling(self):
+        owner = self.make(update_policy="newest_overwrite")
+        handle = owner.share_memory()
+        try:
+            copy = pickle.loads(pickle.dumps(handle))
+            assert copy == handle
+            attached = Mailbox.attach(copy)
+            assert attached.update_policy == "newest_overwrite"
+            assert (attached.num_nodes, attached.num_slots, attached.mail_dim) \
+                == (self.NODES, self.SLOTS, self.DIM)
+            attached.release_shared()
+        finally:
+            owner.release_shared()
+
+    def test_reset_clears_shared_state_in_place(self):
+        owner = self.make()
+        owner.deliver(np.arange(4), np.ones((4, self.DIM)), np.arange(4.0))
+        handle = owner.share_memory()
+        try:
+            attached = Mailbox.attach(handle)
+            owner.reset()
+            assert owner.is_shared
+            assert attached.occupancy().sum() == 0
+            assert attached._next_slot.sum() == 0
+            attached.release_shared()
+        finally:
+            owner.release_shared()
+
+    def test_gather_many_through_attached_matches_owner(self):
+        rng = np.random.default_rng(2)
+        owner = self.make()
+        for nodes, mails, times in _random_deliveries(rng, self.NODES, self.DIM):
+            owner.deliver(nodes, mails, times)
+        groups = (rng.integers(0, self.NODES, 8), rng.integers(0, self.NODES, 6))
+        want = owner.gather_many(*groups)
+        handle = owner.share_memory()
+        try:
+            attached = Mailbox.attach(handle)
+            got = attached.gather_many(*groups)
+            attached.release_shared()
+        finally:
+            owner.release_shared()
+        for name in ("nodes", "inverse", "mails", "times", "valid"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_child_process_delivery_is_visible_to_owner(self):
+        owner = self.make()
+        handle = owner.share_memory()
+        try:
+            proc = mp.get_context("fork").Process(
+                target=_deliver_in_child, args=(handle, 11, self.DIM))
+            proc.start()
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+            mails, _, valid = owner.read(np.asarray([11]))
+            assert valid[0].sum() == 1
+            assert np.allclose(mails[0][valid[0]][0], 7.0)
+        finally:
+            owner.release_shared()
+        assert owner.occupancy(np.asarray([11]))[0] == 1

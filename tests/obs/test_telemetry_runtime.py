@@ -170,6 +170,12 @@ class TestRuntimeMetrics:
         assert sum(final.per_worker_delivered) == len(stream)
         assert all(lag >= 0.0 for lag in final.per_worker_mean_lag_ms)
         assert final.metrics["counters"]["batches.delivered"] == len(stream)
+        # Batch seq goes to worker seq % 2: each slot holds the end time of
+        # the last batch that worker delivered, the watermark their max.
+        end_times = [float(batch.timestamps[-1]) for batch, _, _ in stream]
+        per_worker = [end_times[worker::2][-1] for worker in range(2)]
+        assert final.per_worker_watermark == per_worker
+        assert final.watermark == max(per_worker) == end_times[-1]
 
     def test_null_sink_is_default_and_free_of_segments(self):
         runtime = start_runtime(telemetry=False, num_workers=1)

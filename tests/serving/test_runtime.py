@@ -108,6 +108,22 @@ class TestEquivalence:
             update_policy="newest_overwrite")
         assert_mailboxes_equal(reference, delivered)
 
+    @pytest.mark.parametrize("num_workers, update_policy, max_backlog", [
+        (3, "newest_overwrite", 4),
+        (4, "fifo", 8),
+        (2, "fifo", 1),
+    ])
+    def test_pool_shape_matches_sequential(self, num_workers, update_policy,
+                                           max_backlog):
+        batches = make_stream(num_events=1_200, batch_size=100)
+        reference = sequential_reference(batches, update_policy=update_policy)
+        delivered, backlog_seen = run_through_runtime(
+            batches, RuntimeConfig(num_workers=num_workers,
+                                   max_backlog=max_backlog),
+            update_policy=update_policy)
+        assert_mailboxes_equal(reference, delivered)
+        assert backlog_seen <= max_backlog
+
     @pytest.mark.skipif("spawn" not in __import__("multiprocessing").get_all_start_methods(),
                         reason="spawn start method unavailable")
     def test_spawn_start_method_matches_sequential(self):
@@ -183,6 +199,57 @@ class TestBackpressureAndStaleness:
                 runtime.submit(batch, src_emb, dst_emb)
             runtime.drain()
             assert runtime.mean_delivery_lag_ms() > 0.0
+
+
+class TestPerWorkerProgress:
+    """Batch ``seq`` goes to worker ``seq % num_workers``; after a drain every
+    worker's shared slots must account for exactly its own batches."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def drained(self, request):
+        num_workers = request.param
+        batches = make_stream(num_events=1_100, batch_size=100)
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        spec = PropagatorSpec(NUM_NODES, DIM,
+                              dict(num_hops=2, num_neighbors=5, seed=3))
+        with ServingRuntime(mailbox, spec,
+                            RuntimeConfig(num_workers=num_workers,
+                                          max_backlog=4)) as runtime:
+            for batch, src_emb, dst_emb in batches:
+                runtime.submit(batch, src_emb, dst_emb)
+            runtime.drain()
+            snapshot = runtime.telemetry_snapshot()
+            staleness = runtime.staleness()
+            mean_lag_ms = runtime.mean_delivery_lag_ms()
+        end_times = [batch.end_time for batch, _, _ in batches]
+        return num_workers, end_times, snapshot, staleness, mean_lag_ms
+
+    def test_each_watermark_slot_holds_its_workers_last_batch(self, drained):
+        num_workers, end_times, snapshot, _, _ = drained
+        per_worker = [end_times[worker::num_workers][-1]
+                      for worker in range(num_workers)]
+        assert snapshot.per_worker_watermark == per_worker
+        assert snapshot.watermark == max(per_worker) == end_times[-1]
+
+    def test_every_batch_is_delivered_exactly_once(self, drained):
+        num_workers, end_times, snapshot, _, _ = drained
+        assert snapshot.submitted == snapshot.delivered == len(end_times)
+        assert snapshot.per_worker_delivered == [
+            len(end_times[worker::num_workers]) for worker in range(num_workers)]
+
+    def test_drained_runtime_reports_no_backlog_or_staleness(self, drained):
+        _, end_times, snapshot, staleness, _ = drained
+        assert snapshot.backlog == staleness.backlog == 0
+        assert snapshot.staleness_ms == staleness.staleness_ms == 0.0
+        assert staleness.watermark == end_times[-1]
+        assert staleness.event_lag(end_times[-1]) == 0.0
+
+    def test_mean_delivery_lag_weights_workers_by_batches(self, drained):
+        _, end_times, snapshot, _, mean_lag_ms = drained
+        weighted = sum(lag * count for lag, count in zip(
+            snapshot.per_worker_mean_lag_ms, snapshot.per_worker_delivered))
+        assert mean_lag_ms > 0.0
+        assert mean_lag_ms == pytest.approx(weighted / len(end_times))
 
 
 class TestLifecycle:
@@ -494,53 +561,6 @@ class TestSharedStateCleanup:
         # State survived the failed share and the mailbox still works.
         assert np.array_equal(mailbox.mails, state_before)
         mailbox.deliver(np.array([1]), np.ones((1, DIM)), np.array([2.0]))
-
-
-class TestShardedRuntime:
-    """Shard-per-worker serving: partitioned mailbox state, bit-equal mail."""
-
-    def _run_sharded(self, batches, num_shards, update_policy="fifo"):
-        from repro.storage import ShardMap, ShardedMailbox
-        shard_map = ShardMap(NUM_NODES, num_shards=num_shards)
-        mailbox = ShardedMailbox(shard_map, SLOTS, DIM,
-                                 update_policy=update_policy)
-        spec = PropagatorSpec(NUM_NODES, DIM,
-                              dict(num_hops=2, num_neighbors=5, seed=3))
-        with ServingRuntime(mailbox, spec,
-                            RuntimeConfig(num_workers=num_shards,
-                                          max_backlog=8)) as runtime:
-            for batch, src_emb, dst_emb in batches:
-                runtime.submit(batch, src_emb, dst_emb)
-            runtime.drain()
-        return mailbox
-
-    def test_sharded_delivery_matches_sequential_bit_for_bit(self):
-        batches = make_stream(num_events=3_000, batch_size=150)
-        reference = sequential_reference(batches)
-        sharded = self._run_sharded(batches, num_shards=3)
-        assert_mailboxes_equal(reference, sharded)
-
-    def test_single_shard_degenerate_matches_sequential(self):
-        batches = make_stream(num_events=1_000, batch_size=100)
-        reference = sequential_reference(batches)
-        sharded = self._run_sharded(batches, num_shards=1)
-        assert_mailboxes_equal(reference, sharded)
-
-    def test_newest_overwrite_sharded_matches_sequential(self):
-        batches = make_stream(num_events=1_000, batch_size=100)
-        reference = sequential_reference(batches,
-                                         update_policy="newest_overwrite")
-        sharded = self._run_sharded(batches, num_shards=2,
-                                    update_policy="newest_overwrite")
-        assert_mailboxes_equal(reference, sharded)
-
-    def test_worker_count_must_match_shard_count(self):
-        from repro.storage import ShardMap, ShardedMailbox
-        shard_map = ShardMap(NUM_NODES, num_shards=3)
-        mailbox = ShardedMailbox(shard_map, SLOTS, DIM)
-        spec = PropagatorSpec(NUM_NODES, DIM, dict(seed=3))
-        with pytest.raises(ValueError, match="one worker per shard"):
-            ServingRuntime(mailbox, spec, RuntimeConfig(num_workers=2))
 
 
 class TestSharedEventStore:

@@ -3,8 +3,8 @@
 :class:`MergeCsrIndex` is the index ``repro.storage.graph_view.CsrIndex``
 used to be: every fold rewrites the whole compact CSR.  It left ``src/``
 because its fold cost grows with the stream, and stays here as ground truth
-(the ``repro.analytics.recompute`` idiom): however a stream is chunked,
-masked or selected, ``CsrIndex.view()`` must equal one one-shot fold of this
+(the ``repro.analytics.recompute`` idiom): however a stream is chunked or
+selected, ``CsrIndex.view()`` must equal one one-shot fold of this
 class **bit for bit** — same entries, same tie order, same dtypes.
 """
 
@@ -22,12 +22,8 @@ class MergeCsrIndex:
     everything built so far — O(built + new) per fold.
     """
 
-    def __init__(self, num_nodes: int, node_mask: np.ndarray | None = None):
+    def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
-        self._node_mask = None if node_mask is None \
-            else np.asarray(node_mask, dtype=bool)
-        if self._node_mask is not None and len(self._node_mask) != num_nodes:
-            raise ValueError("node_mask must have num_nodes entries")
         self._indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         self._nodes = np.empty(0, dtype=np.int64)
         self._neighbors = np.empty(0, dtype=np.int64)
@@ -62,14 +58,6 @@ class MergeCsrIndex:
         entry_edges = np.repeat(
             np.arange(first_edge_id, first_edge_id + block, dtype=np.int64), 2)
         entry_times = np.repeat(np.asarray(timestamps, dtype=np.float64), 2)
-        if self._node_mask is not None:
-            keep = self._node_mask[entry_nodes]
-            entry_nodes = entry_nodes[keep]
-            entry_neighbors = entry_neighbors[keep]
-            entry_edges = entry_edges[keep]
-            entry_times = entry_times[keep]
-            if len(entry_nodes) == 0:
-                return
 
         built = len(self._nodes)
         order = np.argsort(entry_nodes, kind="stable")
@@ -111,9 +99,9 @@ class MergeCsrIndex:
         self._times = merged_times
 
 
-def oracle_csr(num_nodes: int, src, dst, timestamps, node_mask=None):
+def oracle_csr(num_nodes: int, src, dst, timestamps):
     """``(indptr, neighbors, edge_ids, times)`` of the stream in one fold."""
-    index = MergeCsrIndex(num_nodes, node_mask=node_mask)
+    index = MergeCsrIndex(num_nodes)
     index.extend(np.asarray(src), np.asarray(dst), np.asarray(timestamps),
                  first_edge_id=0)
     return index.view()

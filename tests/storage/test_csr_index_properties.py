@@ -1,18 +1,20 @@
 """The segment adjacency index equals the one-shot merge oracle, always.
 
-However a stream is chunked — unsharded, under every ``ShardMap`` mask, or
-through a selection view — ``CsrIndex.view()`` must be bit-equal to one fold
-of the index it replaced (``_csr_oracle.MergeCsrIndex``), ``sample_many``
-rows must equal ``sample`` for every strategy, and the arenas must stay
-within the asserted space bound at every fold.
+However a stream is chunked — through a range view or a selection view —
+``CsrIndex.view()`` must be bit-equal to one fold of the index it replaced
+(``_csr_oracle.MergeCsrIndex``), ``sample_many`` rows must equal ``sample``
+for every strategy, and the arenas must stay within the asserted space bound
+at every fold, and within the asserted allocation bound while compacting.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from _csr_oracle import oracle_csr
 from repro.graph.neighbor_sampler import _segment_searchsorted, make_sampler
-from repro.storage import CsrIndex, EventStore, GraphView, ShardMap
+from repro.storage import CsrIndex, EventStore, GraphView
 
 SPACE_BOUND = 4  # touched arena slots per live entry, at every fold
 STRATEGIES = ("recent", "uniform", "time_weighted")
@@ -67,26 +69,12 @@ def follow_chunks(view, cuts):
 class TestChunkingInvariance:
     @given(chunked_streams())
     @settings(max_examples=150, deadline=None)
-    def test_unsharded_view_equals_oracle(self, stream):
+    def test_chunked_view_equals_oracle(self, stream):
         num_nodes, src, dst, timestamps, cuts = stream
         view = follow_chunks(
             GraphView(make_store(num_nodes, src, dst, timestamps), 0, 0), cuts)
         assert_views_equal(view.csr_view(),
                            oracle_csr(num_nodes, src, dst, timestamps))
-
-    @given(chunked_streams(), st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_every_shard_mask_equals_oracle(self, stream, num_shards):
-        num_nodes, src, dst, timestamps, cuts = stream
-        store = make_store(num_nodes, src, dst, timestamps)
-        shard_map = ShardMap(num_nodes, num_shards=min(num_shards, num_nodes))
-        for shard in range(shard_map.num_shards):
-            view = follow_chunks(
-                GraphView(store, 0, 0).for_shard(shard_map, shard), cuts)
-            assert_views_equal(
-                view.csr_view(),
-                oracle_csr(num_nodes, src, dst, timestamps,
-                           node_mask=shard_map.mask(shard)))
 
     @given(chunked_streams(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -133,26 +121,6 @@ class TestChunkingInvariance:
                 assert np.array_equal(got.edge_ids, want.edge_ids)
                 assert np.array_equal(got.timestamps, want.timestamps)
 
-    @given(chunked_streams(), st.sampled_from(STRATEGIES))
-    @settings(max_examples=50, deadline=None)
-    def test_sharded_sample_many_equals_unsharded_on_members(self, stream,
-                                                             strategy):
-        num_nodes, src, dst, timestamps, cuts = stream
-        store = make_store(num_nodes, src, dst, timestamps)
-        shard_map = ShardMap(num_nodes, num_shards=2)
-        full = make_sampler(strategy, GraphView(store), num_neighbors=3,
-                            seed=5, stateless=True)
-        for shard in range(2):
-            members = shard_map.nodes_of(shard)
-            times = np.full(len(members), 26.0)
-            view = follow_chunks(
-                GraphView(store, 0, 0).for_shard(shard_map, shard), cuts)
-            got = make_sampler(strategy, view, num_neighbors=3, seed=5,
-                               stateless=True).sample_many(members, times)
-            want = full.sample_many(members, times)
-            for field in ("neighbors", "edge_ids", "timestamps", "mask"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
-
 
 def star_block(hub, count, first_partner=1):
     """``count`` events partner -> hub with distinct partners."""
@@ -161,9 +129,9 @@ def star_block(hub, count, first_partner=1):
 
 
 class TestExplicitLayouts:
-    def check(self, index, src, dst, timestamps, node_mask=None):
+    def check(self, index, src, dst, timestamps):
         assert_views_equal(index.view(), oracle_csr(index.num_nodes, src, dst,
-                                                    timestamps, node_mask))
+                                                    timestamps))
 
     def test_node_crosses_capacity_inside_one_block(self):
         # Node 0: 3 entries (block of 4), then +3 in one fold -> 6 (block of 8).
@@ -182,22 +150,18 @@ class TestExplicitLayouts:
         lo, hi = index.segments(0)
         assert np.array_equal(index.edge_ids[lo:hi], np.arange(52))
 
-    def test_empty_and_fully_masked_blocks(self):
-        mask = np.zeros(6, dtype=bool)
-        mask[[0, 1]] = True
+    def test_empty_blocks_touch_nothing(self):
         src = np.asarray([0, 2, 3, 4, 1], dtype=np.int64)
         dst = np.asarray([1, 3, 4, 5, 0], dtype=np.int64)
         timestamps = np.arange(5, dtype=np.float64)
-        index = CsrIndex(6, node_mask=mask)
-        index.extend(src[:0], dst[:0], timestamps[:0], first_edge_id=0)
-        assert index.num_entries == 0 and index.touched_slots == 0
-        # [1, 4) touches no member of the mask: nothing may change.
-        fold_chunks(index, src, dst, timestamps, [1, 1])
-        before = index.touched_slots, index.num_entries
-        index.extend(src[1:4], dst[1:4], timestamps[1:4], first_edge_id=1)
-        assert (index.touched_slots, index.num_entries) == before
-        index.extend(src[4:], dst[4:], timestamps[4:], first_edge_id=4)
-        self.check(index, src, dst, timestamps, node_mask=mask)
+        index = CsrIndex(6)
+        for lo, hi in ((0, 0), (0, 1), (1, 1), (1, 5), (5, 5)):
+            before = index.touched_slots, index.num_entries
+            index.extend(src[lo:hi], dst[lo:hi], timestamps[lo:hi],
+                         first_edge_id=lo)
+            if lo == hi:
+                assert (index.touched_slots, index.num_entries) == before
+        self.check(index, src, dst, timestamps)
 
     def test_compaction_fires_mid_stream(self):
         # Every fold grows 32 segments by one entry: they cross 1, 2, 4, 8...
@@ -220,6 +184,69 @@ class TestExplicitLayouts:
             had_dead_blocks = index.touched_slots > blocks
             self.check(index, src[:hi], dst[:hi], timestamps[:hi])
         assert compactions >= 1
+
+    def test_compaction_allocates_at_most_one_arena(self):
+        # Pair (0, 1) crosses 2**16 entries: both segments move and the
+        # grown arenas keep slack.  Pair (2, 3) then fills that slack one
+        # event at a time until the abandoned blocks outnumber the live
+        # entries, so the last fold compacts without growing.
+        pair_events = 1 << 16
+        src = np.concatenate([np.zeros(pair_events + 1, dtype=np.int64),
+                              np.full(5, 2, dtype=np.int64)])
+        dst = np.concatenate([np.ones(pair_events + 1, dtype=np.int64),
+                              np.full(5, 3, dtype=np.int64)])
+        timestamps = np.arange(len(src), dtype=np.float64)
+        cuts = [pair_events] + list(range(pair_events + 1, len(src)))
+        index = fold_chunks(CsrIndex(4), src, dst, timestamps, cuts)
+        arena_slots = len(index.neighbors)
+        tail_before = index.touched_slots
+        tracemalloc.start()
+        try:
+            index.extend(src[-1:], dst[-1:], timestamps[-1:],
+                         first_edge_id=len(src) - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index.neighbors) == arena_slots  # no growth in this fold
+        assert index.touched_slots < tail_before    # ...but a compaction
+        # Beyond the arenas already held: at most one more arena plus the
+        # slot temporaries (source slots, target slots, one gathered column
+        # and one transient, 8 bytes per live entry each) and a small fixed
+        # allowance for the block's own entries.
+        one_arena = arena_slots * 8
+        slot_temporaries = 4 * 8 * index.num_entries
+        assert peak <= one_arena + slot_temporaries + (64 << 10)
+        self.check(index, src, dst, timestamps)
+
+    def test_growth_replaces_one_arena_at_a_time(self):
+        # Pair (0, 1) fills the arenas exactly (two segments of 2**15); one
+        # event on the fresh pair (2, 3) then outgrows them while moving
+        # nothing, so the fold's allocations are the three grown arenas.
+        pair_events = 1 << 15
+        src = np.append(np.zeros(pair_events, dtype=np.int64), 2)
+        dst = np.append(np.ones(pair_events, dtype=np.int64), 3)
+        timestamps = np.arange(len(src), dtype=np.float64)
+        tracemalloc.start()
+        try:
+            index = fold_chunks(CsrIndex(4), src, dst, timestamps,
+                                [pair_events])
+            old_bytes = [arena.nbytes for arena in index._arenas]
+            assert index.touched_slots == len(index.neighbors)  # full
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            index.extend(src[-1:], dst[-1:], timestamps[-1:],
+                         first_edge_id=pair_events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        new_bytes = [arena.nbytes for arena in index._arenas]
+        assert all(new > old for new, old in zip(new_bytes, old_bytes))
+        # Each old arena is freed once its replacement is filled, so the
+        # peak holds every grown arena but at most one old arena beside
+        # them; growing all three before freeing any would hold all three.
+        growth = sum(new_bytes) - sum(old_bytes)
+        assert peak - before <= growth + max(old_bytes) + (64 << 10)
+        self.check(index, src, dst, timestamps)
 
     def test_fold_after_extend_to_with_zero_new_rows(self):
         src, dst = star_block(0, 10)

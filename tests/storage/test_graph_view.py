@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import CsrIndex, EventStore, GraphView, ShardMap
+from repro.storage import CsrIndex, EventStore, GraphView
 
 
 def make_store(n=100, num_nodes=20, dim=3, seed=1):
@@ -62,28 +62,18 @@ class TestCsrIndex:
         for got, want in zip(incremental.view(), one_shot.view()):
             assert np.array_equal(got, want)
 
-    def test_masked_index_holds_only_shard_entries(self):
-        store = make_store(100)
-        shard_map = ShardMap(store.num_nodes, num_shards=4)
-        full = CsrIndex(store.num_nodes)
-        full.extend(store.src, store.dst, store.timestamps, 0)
-        for shard in range(4):
-            masked = CsrIndex(store.num_nodes, node_mask=shard_map.mask(shard))
-            masked.extend(store.src, store.dst, store.timestamps, 0)
-            findptr, fnb, fed, ftm = full.view()
-            mindptr, mnb, med, mtm = masked.view()
-            for node in range(store.num_nodes):
-                if shard_map.shard_of(np.asarray([node]))[0] == shard:
-                    assert np.array_equal(mnb[mindptr[node]:mindptr[node + 1]],
-                                          fnb[findptr[node]:findptr[node + 1]])
-                    assert np.array_equal(med[mindptr[node]:mindptr[node + 1]],
-                                          fed[findptr[node]:findptr[node + 1]])
-                else:
-                    assert mindptr[node + 1] == mindptr[node]
-        sizes = [CsrIndex(store.num_nodes, node_mask=shard_map.mask(s)) for s in range(4)]
-        for s in sizes:
-            s.extend(store.src, store.dst, store.timestamps, 0)
-        assert sum(s.num_entries for s in sizes) == full.num_entries
+    def test_every_event_contributes_two_entries(self):
+        # Self-loops included: an event (v, v) is both v's out- and in-entry.
+        src = np.asarray([0, 2, 2, 1], dtype=np.int64)
+        dst = np.asarray([1, 2, 0, 1], dtype=np.int64)
+        index = CsrIndex(3)
+        index.extend(src, dst, np.arange(4, dtype=np.float64), 0)
+        assert index.num_entries == 8
+        assert index.degrees.tolist() == [2, 3, 3]
+        indptr, neighbors, edge_ids, _ = index.view()
+        assert indptr[-1] == 8
+        assert neighbors[indptr[2]:indptr[3]].tolist() == [2, 2, 0]
+        assert edge_ids[indptr[2]:indptr[3]].tolist() == [1, 1, 2]
 
 
 class TestZeroCopyColumns:
@@ -227,6 +217,19 @@ class TestLiveAndExtend:
         assert view.num_events == 3
         assert view.degree(2) == 2
 
+    def test_followed_view_answers_every_node(self):
+        """A worker's view, advanced chunk by chunk, serves the whole graph."""
+        store = make_store(200, seed=11)
+        full = GraphView(store)
+        view = GraphView(store, 0, 0)
+        for stop in (0, 37, 38, 120, 200):
+            view.extend_to(stop)
+        for node in range(store.num_nodes):
+            assert view.degree(node) == full.degree(node)
+            for got, want in zip(view.node_events(node),
+                                 full.node_events(node)):
+                assert np.array_equal(got, want)
+
     def test_extend_to_cannot_shrink(self):
         store = EventStore(10, 0)
         store.append_batch([0, 1], [1, 2], [0.0, 1.0], np.zeros((2, 0)))
@@ -240,24 +243,3 @@ class TestLiveAndExtend:
         with pytest.raises(RuntimeError):
             picked.extend_to(10)
 
-
-class TestShardedView:
-    def test_shard_view_answers_own_nodes_only(self):
-        store = make_store(200, seed=11)
-        shard_map = ShardMap(store.num_nodes, num_shards=3)
-        full = GraphView(store)
-        for shard in range(3):
-            sharded = GraphView(store).for_shard(shard_map, shard)
-            for node in range(store.num_nodes):
-                if shard_map.shard_of(np.asarray([node]))[0] == shard:
-                    for got, want in zip(sharded.node_events(node),
-                                         full.node_events(node)):
-                        assert np.array_equal(got, want)
-                else:
-                    with pytest.raises(ValueError, match="shard"):
-                        sharded.node_events(node)
-
-    def test_shard_and_map_must_come_together(self):
-        store = make_store()
-        with pytest.raises(ValueError):
-            GraphView(store, shard=1)
