@@ -3,8 +3,9 @@
 Streams a synthetic interaction workload through the real multi-process
 serving runtime with telemetry enabled, then exports the run to
 ``trace.json`` — load it in ``chrome://tracing`` or https://ui.perfetto.dev
-to see the scorer's decision path, each batch's ride through the task queue,
-and the worker processes propagating and applying mail, all on one timeline.
+to see the scorer's decision path, each batch's ride through the shared-memory
+hand-off ring, and the worker processes propagating, waiting for their turn
+and applying mail, all on one timeline.
 
 Also prints the shared-memory metrics the run accumulated: pipeline
 counters, the final per-worker watermarks, and latency histograms for every

@@ -5,7 +5,10 @@ This is the same share/attach/release idiom as
 primitive for telemetry state (``repro.obs`` must not import ``repro.core`` —
 observability sits below every other subsystem).  One process *creates* the
 bundle (and owns the segments: its release unlinks them), any number of
-processes *attach* to the same physical pages through a picklable handle.
+processes *attach* to the same physical pages through a picklable handle —
+or, for a bundle created under a name ``prefix``, through the handle
+:func:`named_handle` rebuilds from the prefix and the specs alone, so a
+process can find a bundle created after it started without being sent one.
 
 The owner-side lifecycle is leak-proof by construction: a partial failure
 during ``create`` unwinds the segments already allocated, ``release`` copies
@@ -23,7 +26,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-__all__ = ["BundleHandle", "SharedArrayBundle"]
+__all__ = ["BundleHandle", "SharedArrayBundle", "named_handle"]
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,14 @@ class BundleHandle:
     """Picklable attach recipe: array name -> (segment name, shape, dtype str)."""
 
     segments: dict = field(default_factory=dict)
+
+
+def named_handle(prefix: str, specs: dict) -> BundleHandle:
+    """The handle of the bundle ``SharedArrayBundle.create(specs, prefix)`` makes."""
+    return BundleHandle(segments={
+        name: (prefix + name, tuple(shape), np.dtype(dtype).str)
+        for name, (shape, dtype) in specs.items()
+    })
 
 
 def _open_existing_segment(name: str) -> shared_memory.SharedMemory:
@@ -72,8 +83,13 @@ class SharedArrayBundle:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def create(cls, specs: dict[str, tuple[tuple[int, ...], object]]) -> "SharedArrayBundle":
-        """Allocate one zero-initialised shared array per ``specs`` entry."""
+    def create(cls, specs: dict[str, tuple[tuple[int, ...], object]],
+               prefix: str | None = None) -> "SharedArrayBundle":
+        """Allocate one zero-initialised shared array per ``specs`` entry.
+
+        Segments get random names, or ``prefix + name`` when a ``prefix`` is
+        given (see :func:`named_handle`).
+        """
         bundle = cls()
         try:
             for name, (shape, dtype) in specs.items():
@@ -81,7 +97,9 @@ class SharedArrayBundle:
                 # Fresh segments are kernel-zero-filled (tmpfs), so no
                 # explicit zeroing: creating a multi-MB trace ring costs no
                 # page touches until it is actually written.
-                segment = shared_memory.SharedMemory(create=True, size=nbytes)
+                segment = shared_memory.SharedMemory(
+                    name=None if prefix is None else prefix + name,
+                    create=True, size=nbytes)
                 bundle._segments[name] = segment
                 bundle.arrays[name] = np.ndarray(shape, dtype=dtype,
                                                  buffer=segment.buf)
@@ -125,15 +143,29 @@ class SharedArrayBundle:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
-    def release(self) -> None:
-        """Detach; the owner also unlinks.  Arrays stay readable (private copy)."""
+    def release(self, keep: bool = True) -> None:
+        """Detach; the owner also unlinks.
+
+        With ``keep`` the arrays stay readable (a private copy); without it
+        they are dropped unread.  Either way no other view of a shared array
+        should outlive this call: depending on the NumPy version such a view
+        keeps the mapping alive (its unmap then waits for the view to go) or
+        is left pointing at unmapped memory.  Never raises for a live view,
+        so a teardown on an error path cannot stop halfway.
+        """
         if not self._segments:
             return
+        if not keep:
+            self.arrays.clear()
         for name, segment in self._segments.items():
-            self.arrays[name] = np.array(self.arrays[name])
-            segment.close()
+            if keep:
+                self.arrays[name] = np.array(self.arrays[name])
             if not self._attached:
-                segment.unlink()
+                segment.unlink()  # first: the name goes even if the unmap waits
+            try:
+                segment.close()
+            except BufferError:
+                pass  # a live view holds the mapping; it unmaps with that view
         self._segments = {}
         if self._finalizer is not None:
             self._finalizer.detach()

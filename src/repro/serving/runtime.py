@@ -11,15 +11,15 @@ Dataflow
 
     scorer (parent process)                 propagation workers (children)
     ───────────────────────                 ──────────────────────────────
-    read shared mailbox  ──┐                ┌── task queue: (seq, row range,
-    encode + score         │  submit(batch, │   embeddings) — no event payload
-    apply z updates        ├──────────────► │
+    read shared mailbox  ──┐                ┌── ring slot seq % max_backlog:
+    encode + score         │  submit(batch, │   (seq, row range, submit wall)
+    apply z updates        ├──────────────► │   + embedding rows — no pickle
     append to EventStore ──┤  embeddings)   │  attach mmap EventStore (r/o)
     next batch ◄───────────┘                │  extend GraphView to rows < seq
          ▲                                  │  route_and_reduce  (concurrent,
-         │ backpressure: submit blocks      │   CPU-heavy: φ, k-hop frontier,
-         │ while backlog ≥ max_backlog      │   f, ρ on the SHARED store)
-         │                                  │  deliver            (serialised
+         │ backpressure: submit takes a     │   CPU-heavy: φ, k-hop frontier,
+         │ ``space`` permit, returned       │   f, ρ on the SHARED store)
+         │ after apply                      │  deliver            (serialised
          └───── shared mailbox arrays ◄─────┘   in batch order, see below)
                 (multiprocessing.shared_memory)
 
@@ -29,25 +29,31 @@ Dataflow
   same physical pages, so a delivery is immediately visible to the scorer's
   next read with zero copying (the paper's key-value store).
 * **One shared event store** — the scorer appends every batch to an
-  mmap-backed :class:`~repro.storage.event_store.EventStore` and ships only
-  ``(seq, row range, embeddings)`` through the queue.  Workers attach the
-  store read-only and advance a
-  :class:`~repro.storage.graph_view.GraphView` to exactly the rows strictly
-  before each batch, so routing sees the same store prefix sequential
-  propagation would — with **one** physical copy of the stream per machine
-  instead of one private ``TemporalGraph`` per worker (the former scaling
-  wall: per-worker ingest cost and O(events × workers) resident memory).
+  mmap-backed :class:`~repro.storage.event_store.EventStore`; the hand-off
+  names only the batch's row range.  Workers attach the store read-only and
+  advance a :class:`~repro.storage.graph_view.GraphView` to exactly the rows
+  strictly before each batch, so routing sees the same store prefix
+  sequential propagation would — with **one** physical copy of the stream
+  per machine instead of one private ``TemporalGraph`` per worker (the
+  former scaling wall: per-worker ingest cost and O(events × workers)
+  resident memory).
+* **Hand-off ring** — ``submit`` copies batch ``seq``'s row range, submit
+  wall time and embeddings into shared slot ``seq % max_backlog`` and wakes
+  worker ``seq % num_workers`` through its ``items`` semaphore: no pickling,
+  no feeder thread, no pipe.  A batch larger than a slot drains the backlog
+  and swaps in slots of twice the rows under a new generation, which workers
+  re-attach to by name.  Each header word (``delivered``, the stop word,
+  per-worker progress) has one writer, so progress reads take no lock.
 * **In-order delivery** — routing (the heavy part) runs concurrently across
-  workers (batch ``seq`` goes to worker ``seq % num_workers``, and every
-  worker routes over the whole graph); the final ψ write into the shared
-  mailbox is serialised in strict batch order by a shared sequence counter,
-  so the delivered-mail state is *identical* to single-process sequential
-  propagation (the equivalence tests pin this, bit for bit, for the
-  deterministic ``fifo``/``newest_overwrite`` policies).
-* **Bounded backlog** — :meth:`ServingRuntime.submit` blocks while
-  ``submitted − delivered ≥ max_backlog``, so memory stays bounded when the
-  stream outruns the workers (backpressure is applied *behind* the decision:
-  the score has already been returned when submit blocks).
+  workers; the ψ write into the shared mailbox is serialised in batch order
+  by per-worker ``turn`` semaphores (the worker that applied ``seq``
+  releases the turn of ``seq + 1``'s owner), so the delivered-mail state is
+  *identical* to sequential propagation (the equivalence tests pin this,
+  bit for bit, for the deterministic ``fifo``/``newest_overwrite`` policies).
+* **Bounded backlog** — ``submit`` takes one of ``max_backlog`` ``space``
+  permits and the worker returns it after apply, so memory stays bounded
+  when the stream outruns the workers (backpressure is applied *behind* the
+  decision: the score has already been returned when submit blocks).
 * **Bounded-staleness watermark** — each worker records the ``end_time`` of
   the last batch it delivered; the watermark is their maximum, the end of
   the last fully delivered batch (delivery is in batch order).  A decision
@@ -55,23 +61,23 @@ Dataflow
   ``batch.end_time − watermark``.
 * **Graceful drain** — ``close()`` drains the backlog before tearing down;
   a worker receiving ``SIGTERM`` flushes every task already submitted before
-  exiting, so no mail is ever lost on shutdown.  A *failed* ``start()``
-  (worker dies or never reports ready) tears down symmetrically: workers are
-  terminated, the mailbox returns to private memory, and every
-  shared-memory segment and store file is removed — nothing leaks even when
-  the runtime never ran a batch.
+  exiting, so no mail is ever lost on shutdown.  Every wait is a timed
+  acquire that re-checks stop, liveness and deadlines.  A *failed*
+  ``start()`` (worker dies or never reports ready) tears down symmetrically:
+  workers are terminated, the mailbox returns to private memory, and every
+  shared-memory segment (ring included) and store file is removed — nothing
+  leaks even when the runtime never ran a batch.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_module
+import secrets
 import shutil
 import signal
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +86,7 @@ from ..core.mailbox import Mailbox, SharedMailboxHandle
 from ..core.propagator import MailPropagator
 from ..graph.batching import EventBatch
 from ..obs import NULL_TELEMETRY, Telemetry, TelemetrySpec
+from ..obs._shm import BundleHandle, SharedArrayBundle, named_handle
 from ..storage.event_store import EventStore, EventStoreHandle
 from ..storage.graph_view import GraphView
 
@@ -94,15 +101,17 @@ __all__ = [
 # Every stage of the serving pipeline, by span name.  Scorer-side spans are
 # recorded by writer 0, worker-side spans by writers 1..num_workers;
 # ``queue.ride`` spans start on the scorer's clock (stamped at submit) and
-# end on the worker's (observed at dequeue) — CLOCK_MONOTONIC is system-wide
-# on Linux, so the two line up on one trace timeline.
+# end on the worker's (observed when it takes the ring slot) —
+# CLOCK_MONOTONIC is system-wide on Linux, so the two line up on one trace
+# timeline.
 SERVING_SPANS = (
     "scorer.decision",   # score + mailbox read + z update (critical path)
     "scorer.encode",     # embedding computation feeding the decision
-    "scorer.submit",     # store append + enqueue (+ backpressure wait)
-    "queue.ride",        # submit → dequeue, per task
+    "scorer.submit",     # store append + ring slot write (+ backpressure wait)
+    "queue.ride",        # submit → worker takes the slot, per task
     "worker.propagate",  # φ + k-hop routing + ρ (the heavy, concurrent half)
     "worker.apply",      # ψ delivery into the shared mailbox (+ order wait)
+    "worker.order_wait", # inside worker.apply: waiting for the batch's turn
     "store.append",      # EventStore.append_batch
     "store.refresh",     # EventStore.refresh / remap
     "view.fold",         # GraphView adjacency maintenance (arg = rows folded)
@@ -126,8 +135,9 @@ def serving_telemetry_spec(trace_capacity: int = 32768) -> TelemetrySpec:
 class RuntimeConfig:
     """Deployment knobs of the multi-process serving runtime.
 
-    ``max_backlog`` is the bounded queue depth: the largest number of
-    submitted-but-undelivered propagation batches before ``submit`` blocks.
+    ``max_backlog`` is the number of hand-off ring slots: the largest number
+    of submitted-but-undelivered propagation batches before ``submit``
+    blocks.
     ``start_method`` defaults to ``fork`` where available (cheap worker
     startup) and falls back to ``spawn``.  ``store_dir`` is where the shared
     mmap event store lives (a fresh temp directory by default; point it at a
@@ -261,22 +271,22 @@ class RuntimeTelemetrySnapshot:
     metrics: dict = field(default_factory=dict)
 
 
-@dataclass
-class _Task:
-    """One unit of propagation work.
+# Rows of a ring slot before the first growth: the paper's batch size.
+_SLOT_ROWS = 200
+# How often a blocked party re-checks the stop word, SIGTERM, worker liveness
+# and its deadline.  A release wakes a waiter at once; this only bounds how
+# long a stop or a death goes unnoticed.
+_POLL_S = 0.05
+# Words of the ring's ``control`` array, each with one writer: the turn
+# holder writes DELIVERED, the scorer the other three.
+_DELIVERED, _STOP, _GENERATION, _CAPACITY = range(4)
 
-    Carries no event payload: the events are rows ``[start_row, stop_row)``
-    of the shared store, appended by the scorer before this task was
-    enqueued (the queue gives the happens-before edge that makes the rows
-    visible to the worker's remap).
-    """
 
-    seq: int
-    start_row: int
-    stop_row: int
-    src_embeddings: np.ndarray
-    dst_embeddings: np.ndarray
-    submitted_wall: float
+def _slabs(prefix: str, generation: int, num_slots: int, capacity: int,
+           dim: int) -> tuple[str, dict]:
+    """Segment-name prefix and specs of one ring generation's embeddings."""
+    return f"{prefix}g{generation}_", {
+        name: ((num_slots, capacity, dim), np.float64) for name in ("src", "dst")}
 
 
 @dataclass
@@ -286,12 +296,11 @@ class _WorkerSetup:
     worker_id: int
     mailbox_handle: SharedMailboxHandle
     store_handle: EventStoreHandle
+    ring_handle: BundleHandle
+    slab_prefix: str  # names every generation's embedding arrays (_slabs)
     spec: PropagatorSpec
     nice_increment: int
     telemetry_handle: object = None  # TelemetryHandle | None
-
-
-_SENTINEL = None
 
 
 def _batch_from_store(store: EventStore, start_row: int, stop_row: int) -> EventBatch:
@@ -306,15 +315,14 @@ def _batch_from_store(store: EventStore, start_row: int, stop_row: int) -> Event
     )
 
 
-def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
-                 watermark, lag_sum, submitted, cond, ready) -> None:
+def _worker_main(setup: _WorkerSetup, items, my_turn, next_turn, space,
+                 ready) -> None:
     """Propagation worker: route concurrently against the shared store.
 
-    Runs in a child process.  ``delivered`` is the shared count of batches
-    delivered so far (the next ``seq`` allowed to apply);
-    ``completed``/``watermark``/``lag_sum`` are per-worker slots of shared
-    arrays.  All are guarded by ``cond``; ``submitted`` is written by the
-    parent (under ``cond``) and read here only while draining after SIGTERM.
+    Runs in a child process.  Worker ``w`` of ``W`` owns batches ``w``,
+    ``w + W``, ...; each ``items`` permit is the next one, waiting in ring
+    slot ``seq % max_backlog``.  ``my_turn``/``next_turn`` order the mailbox
+    writes by ``seq``; ``space`` is returned after apply.
     """
     if setup.nice_increment:
         try:
@@ -324,6 +332,12 @@ def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
     worker_id = setup.worker_id
     mailbox = Mailbox.attach(setup.mailbox_handle)
     store = setup.store_handle.open()
+    ring = SharedArrayBundle.attach(setup.ring_handle)
+    control, slots, walls = ring["control"], ring["slots"], ring["walls"]
+    completed, submitted = ring["counts"]
+    watermark, lag_sum = ring["progress"]
+    num_slots, num_workers = len(slots), len(submitted)
+    slabs, generation = None, 0  # generations count from 1
     # Writer slot 0 belongs to the scorer; workers publish as 1..num_workers.
     telemetry = NULL_TELEMETRY if setup.telemetry_handle is None \
         else Telemetry.attach(setup.telemetry_handle, writer=worker_id + 1)
@@ -340,72 +354,84 @@ def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
 
     signal.signal(signal.SIGTERM, _on_sigterm)
     # The parent's Ctrl-C must not kill workers mid-delivery; shutdown goes
-    # through the sentinel / SIGTERM drain paths.
+    # through the stop word / SIGTERM drain paths.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def run_task(seq: int) -> bool:
+        """Propagate and apply batch ``seq``; False if stopped mid-wait."""
+        nonlocal slabs, generation
+        slot = seq % num_slots
+        if slots[slot, 0] != seq:
+            raise RuntimeError(
+                f"ring slot {slot} holds batch {slots[slot, 0]}, not {seq}")
+        start_row, stop_row = int(slots[slot, 1]), int(slots[slot, 2])
+        rows = stop_row - start_row
+        submitted_wall = float(walls[slot])
+        telemetry.record_span("queue.ride", submitted_wall, time.monotonic(), arg=seq)
+        if control[_GENERATION] != generation:
+            # The scorer grew the slots (after draining, so nothing here still
+            # reads the old arrays): map the new generation by name.
+            if slabs is not None:
+                slabs.release(keep=False)
+            generation = int(control[_GENERATION])
+            slabs = SharedArrayBundle.attach(named_handle(*_slabs(
+                setup.slab_prefix, generation, num_slots,
+                int(control[_CAPACITY]), setup.spec.edge_feature_dim)))
+
+        # Make the batch's rows visible (remaps if the writer grew the
+        # files), then advance the routing view to strictly-older events
+        # only — the same prefix sequential propagation would see.
+        store.ensure_visible(stop_row)
+        view.extend_to(start_row)
+        batch = _batch_from_store(store, start_row, stop_row)
+        end_time = float(store.timestamps[stop_row - 1]) if rows else None
+
+        # Heavy half, concurrent: φ + k-hop routing + ρ against the shared
+        # store prefix [0, start_row).
+        with telemetry.span("worker.propagate", arg=rows):
+            nodes, mails, times, _ = propagator.route_and_reduce(
+                batch, slabs["src"][slot, :rows], slabs["dst"][slot, :rows])
+        # Cheap half, serialised: wait for our turn in batch order, then
+        # write into the shared mailbox.  Exclusivity needs no lock around
+        # the write itself — only the turn holder may proceed.  The apply
+        # span covers the ordering wait too (its own child span times it).
+        with telemetry.span("worker.apply", arg=seq):
+            with telemetry.span("worker.order_wait", arg=seq):
+                while not my_turn.acquire(timeout=_POLL_S):
+                    if control[_STOP]:
+                        return False
+            mailbox.deliver(nodes, mails, times)
+            # Publish order matters to the lock-free readers: a watermark is
+            # never behind ``delivered``, nor a lag sum behind ``completed``.
+            if end_time is not None:
+                watermark[worker_id] = max(watermark[worker_id], end_time)
+                telemetry.gauge("watermark", end_time)
+            control[_DELIVERED] = seq + 1
+            next_turn.release()
+        lag_sum[worker_id] += time.monotonic() - submitted_wall
+        completed[worker_id] += 1
+        # Last: a drain that holds every permit sees this worker's words.
+        space.release()
+        telemetry.count("batches.delivered")
+        telemetry.count("mails.delivered", float(len(nodes)))
+        return True
 
     # Setup is done: tell start() we are ready.  Without this barrier the
     # first few decisions race against worker startup for CPU, which shows
     # up as a fat warmup tail in p99 on core-starved machines.
-    with cond:
-        ready.value += 1
-        cond.notify_all()
+    ready.release()
 
     tasks_seen = 0
     try:
         while True:
-            try:
-                task = task_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                if terminating:
-                    with cond:
-                        outstanding = submitted[worker_id]
-                    if tasks_seen >= outstanding:
-                        break  # flushed everything ever submitted to us
+            if not items.acquire(timeout=_POLL_S):
+                if control[_STOP] or (terminating
+                                      and tasks_seen >= submitted[worker_id]):
+                    break  # stopped, or flushed everything ever submitted to us
                 continue
-            if task is _SENTINEL:
+            if control[_STOP] or not run_task(worker_id + tasks_seen * num_workers):
                 break
             tasks_seen += 1
-            telemetry.record_span("queue.ride", task.submitted_wall,
-                                  time.monotonic(), arg=task.seq)
-
-            # Make the batch's rows visible (remaps if the writer grew the
-            # files), then advance the routing view to strictly-older events
-            # only — the same prefix sequential propagation would see.
-            store.ensure_visible(task.stop_row)
-            view.extend_to(task.start_row)
-            batch = _batch_from_store(store, task.start_row, task.stop_row)
-            end_time = float(store.timestamps[task.stop_row - 1]) \
-                if task.stop_row > task.start_row else None
-
-            # Heavy half, concurrent: φ + k-hop routing + ρ against the
-            # shared store prefix [0, start_row).
-            with telemetry.span("worker.propagate",
-                                arg=task.stop_row - task.start_row):
-                nodes, mails, times, _ = propagator.route_and_reduce(
-                    batch, task.src_embeddings, task.dst_embeddings
-                )
-            # Cheap half, serialised: wait for our turn in batch order, then
-            # write into the shared mailbox.  Exclusivity needs no lock
-            # around the write itself — only the worker whose seq matches the
-            # counter may proceed, and only it advances it.  The apply span
-            # covers the ordering wait too: serialisation stalls are exactly
-            # what the trace should show.
-            with telemetry.span("worker.apply", arg=task.seq):
-                with cond:
-                    while delivered.value != task.seq:
-                        cond.wait(1.0)
-                mailbox.deliver(nodes, mails, times)
-            with cond:
-                delivered.value = task.seq + 1
-                completed[worker_id] += 1
-                if end_time is not None:
-                    watermark[worker_id] = max(watermark[worker_id], end_time)
-                lag_sum[worker_id] += time.monotonic() - task.submitted_wall
-                cond.notify_all()
-            telemetry.count("batches.delivered")
-            telemetry.count("mails.delivered", float(len(nodes)))
-            if end_time is not None:
-                telemetry.gauge("watermark", end_time)
     finally:
         mailbox.release_shared()
         store.close()
@@ -413,7 +439,7 @@ def _worker_main(setup: _WorkerSetup, task_queue, delivered, completed,
 
 
 class ServingRuntime:
-    """Ingress queue + scorer-side handle of the propagation worker pool.
+    """Scorer-side handle of the propagation worker pool and its hand-off ring.
 
     Lifecycle::
 
@@ -435,11 +461,13 @@ class ServingRuntime:
         self.config = (config or RuntimeConfig()).validate()
         self._started = False
         self._workers: list = []
-        self._queues: list = []
         self._submitted = 0
         self._max_backlog_seen = 0
         self._store: EventStore | None = None
         self._store_path: str | None = None
+        self._ring: SharedArrayBundle | None = None
+        self._slabs: SharedArrayBundle | None = None
+        self._items: list = []
         self._telemetry = NULL_TELEMETRY
 
     @classmethod
@@ -468,7 +496,7 @@ class ServingRuntime:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self, initial_watermark: float = 0.0) -> "ServingRuntime":
-        """Share the mailbox, create the shared store, fork the worker pool.
+        """Share the mailbox, create the store and the ring, fork the pool.
 
         Failure-safe: if a worker dies or never reports ready, everything is
         torn down (workers terminated, mailbox back in private memory,
@@ -477,7 +505,7 @@ class ServingRuntime:
         """
         if self._started:
             raise RuntimeError("runtime already started")
-        num_workers = self.config.num_workers
+        num_workers, num_slots = self.config.num_workers, self.config.max_backlog
         handle = self.mailbox.share_memory()
         try:
             # Telemetry first: everything after it can report through it, and
@@ -496,33 +524,42 @@ class ServingRuntime:
                 self._store_path, num_nodes=self.spec.num_nodes,
                 edge_feature_dim=self.spec.edge_feature_dim)
             self._store.telemetry = self._telemetry
+            self._ring = SharedArrayBundle.create({
+                "control": ((4,), np.int64),
+                # Rows: completed (worker w writes column w), submitted (scorer).
+                "counts": ((2, num_workers), np.int64),
+                # Rows: watermark, lag_sum (worker w writes column w).
+                "progress": ((2, num_workers), np.float64),
+                "slots": ((num_slots, 3), np.int64),  # seq, start_row, stop_row
+                "walls": ((num_slots,), np.float64),  # submit wall time
+            })
+            self._ring["progress"][0] = float(initial_watermark)
+            self._slab_prefix = f"apan{secrets.token_hex(4)}"
+            self._grow(0)
             ctx = mp.get_context(self.config.resolved_start_method())
-            self._cond = ctx.Condition()
-            self._delivered = ctx.Value("q", 0, lock=False)
-            self._completed = ctx.Array("q", num_workers, lock=False)
-            self._watermark = ctx.Array(
-                "d", [float(initial_watermark)] * num_workers, lock=False)
-            self._lag_sum = ctx.Array("d", num_workers, lock=False)
-            self._submitted_shared = ctx.Array("q", num_workers, lock=False)
-            self._ready = ctx.Value("q", 0, lock=False)
+            self._space = ctx.Semaphore(num_slots)
+            self._items = [ctx.Semaphore(0) for _ in range(num_workers)]
+            turns = [ctx.Semaphore(int(w == 0)) for w in range(num_workers)]
+            ready = ctx.Semaphore(0)
             telemetry_handle = self._telemetry.handle() \
                 if self.config.telemetry else None
-            self._queues = [ctx.Queue() for _ in range(num_workers)]
             self._workers = [
                 ctx.Process(
                     target=_worker_main,
                     args=(_WorkerSetup(
                               worker_id=worker_id, mailbox_handle=handle,
-                              store_handle=self._store.handle(), spec=self.spec,
+                              store_handle=self._store.handle(),
+                              ring_handle=self._ring.handle(),
+                              slab_prefix=self._slab_prefix, spec=self.spec,
                               nice_increment=self.config.worker_nice,
                               telemetry_handle=telemetry_handle),
-                          queue, self._delivered, self._completed,
-                          self._watermark, self._lag_sum,
-                          self._submitted_shared, self._cond, self._ready),
+                          self._items[worker_id], turns[worker_id],
+                          turns[(worker_id + 1) % num_workers], self._space,
+                          ready),
                     name=f"propagation-worker-{worker_id}",
                     daemon=True,
                 )
-                for worker_id, queue in enumerate(self._queues)
+                for worker_id in range(num_workers)
             ]
             for worker in self._workers:
                 worker.start()
@@ -530,50 +567,66 @@ class ServingRuntime:
             # rebuilt its propagator, so the first decision never competes
             # with worker startup for CPU.
             deadline = time.monotonic() + 60.0
-            with self._cond:
-                while self._ready.value < num_workers:
-                    dead = [worker.name for worker in self._workers
-                            if not worker.is_alive()]
-                    if dead:
-                        raise RuntimeError(
-                            f"propagation worker(s) died during startup: "
-                            f"{', '.join(dead)}")
-                    if time.monotonic() > deadline:
-                        raise RuntimeError("workers failed to become ready within 60s")
-                    self._cond.wait(0.2)
+            for _ in range(num_workers):
+                self._acquire(ready, deadline, " during startup",
+                              lambda: "workers failed to become ready within 60s")
         except BaseException:
-            self._teardown_failed_start()
+            self._stop_workers(timeout_s=5.0)
             raise
         self._submitted = 0
         self._max_backlog_seen = 0
-        # (seq, wall time) of submissions not yet known to be delivered;
-        # parent-local, pruned lazily by staleness().
-        self._inflight_walls: deque[tuple[int, float]] = deque()
         self._started = True
         return self
 
-    def _teardown_failed_start(self) -> None:
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        for queue in self._queues:
-            queue.cancel_join_thread()
-            queue.close()
-        self._workers = []
-        self._queues = []
-        self.mailbox.release_shared()
-        self._destroy_store()
-        self._telemetry.release_shared()
+    def _grow(self, rows: int) -> None:
+        """Swap in ring embedding arrays of at least ``rows`` rows per slot.
 
-    def _destroy_store(self) -> None:
+        Called with no batch in flight (at start, or after a drain), so no
+        worker still reads the old generation; each re-attaches by name when
+        it sees the generation word change.  Keeps no ring-array view in a
+        local (nor does submit): a traceback would keep it past teardown.
+        """
+        capacity = max(int(self._ring["control"][_CAPACITY]), _SLOT_ROWS)
+        while capacity < rows:
+            capacity *= 2
+        generation = int(self._ring["control"][_GENERATION]) + 1
+        prefix, specs = _slabs(self._slab_prefix, generation,
+                               self.config.max_backlog, capacity,
+                               self.spec.edge_feature_dim)
+        slabs = SharedArrayBundle.create(specs, prefix=prefix)
+        if self._slabs is not None:
+            self._slabs.release(keep=False)
+        self._slabs = slabs
+        self._ring["control"][[_CAPACITY, _GENERATION]] = capacity, generation
+
+    def _stop_workers(self, timeout_s: float) -> None:
+        """Stop and reap the workers, then release every shared resource."""
+        if self._ring is not None:
+            self._ring["control"][_STOP] = 1
+            for items in self._items:
+                items.release()  # wake idle workers to see the stop word
+        for worker in self._workers:
+            worker.join(timeout=timeout_s)
+        for worker in self._workers:
+            if worker.is_alive():  # unresponsive: escalate
+                worker.terminate()
+                worker.join(timeout=5.0)
+        self._workers, self._items, self._space = [], [], None
+        for bundle in (self._ring, self._slabs):
+            if bundle is not None:
+                bundle.release(keep=False)
+        self._ring = self._slabs = None
+        self.mailbox.release_shared()
         if self._store is not None:
             self._store.close()
             self._store = None
         if self._store_path is not None:
             shutil.rmtree(self._store_path, ignore_errors=True)
             self._store_path = None
+        # Owner release copies the metrics/trace data into private memory
+        # before unlinking, so the telemetry stays exportable
+        # (``runtime.telemetry.write_chrome_trace(...)``) after close.
+        self._telemetry.release_shared()
 
     def __enter__(self) -> "ServingRuntime":
         if not self._started:
@@ -586,100 +639,93 @@ class ServingRuntime:
     def close(self, drain: bool = True) -> None:
         """Stop the pool; with ``drain`` (default) flush the backlog first.
 
+        Without ``drain`` (the error paths), live workers still get up to
+        30 s to deliver what was submitted, but a dead or stuck pool raises
+        nothing here, so the error being handled is the one that surfaces.
         Always leaves the mailbox usable in this process: its final state is
-        copied back into private memory, the shared segments are unlinked
-        and the store files are removed.
+        copied back into private memory, the shared segments are unlinked and
+        the store files are removed.
         """
         if not self._started:
             return
         try:
+            self.drain(None if drain else 30.0)
+        except RuntimeError:
             if drain:
-                self.drain()
+                raise
         finally:
-            for queue in self._queues:
-                queue.put(_SENTINEL)
-            for worker in self._workers:
-                worker.join(timeout=30.0)
-            for worker in self._workers:
-                if worker.is_alive():  # unresponsive: escalate
-                    worker.terminate()
-                    worker.join(timeout=5.0)
-            for queue in self._queues:
-                # Never wait on the feeder thread: if a worker died with
-                # tasks still buffered, the pipe stays full and join_thread
-                # would block forever.  Anything unread is garbage by now.
-                queue.cancel_join_thread()
-                queue.close()
-            self.mailbox.release_shared()
-            self._destroy_store()
-            # Owner release copies the metrics/trace data into private
-            # memory before unlinking, so the telemetry stays exportable
-            # (``runtime.telemetry.write_chrome_trace(...)``) after close.
-            self._telemetry.release_shared()
-            self._workers = []
-            self._queues = []
             self._started = False
+            self._stop_workers(timeout_s=30.0)
 
     # ------------------------------------------------------------------ #
     # Hot path
     # ------------------------------------------------------------------ #
-    def _prune_inflight(self, delivered: int) -> None:
-        """Forget submit walls of delivered batches (at most ``max_backlog`` stay)."""
-        while self._inflight_walls and self._inflight_walls[0][0] < delivered:
-            self._inflight_walls.popleft()
+    def _acquire(self, semaphore, deadline: float, waiting: str, message) -> None:
+        """Take one permit, re-checking worker liveness and ``deadline``."""
+        while not semaphore.acquire(timeout=_POLL_S):
+            dead = [worker.name for worker in self._workers if not worker.is_alive()]
+            if dead:
+                raise RuntimeError(
+                    f"propagation worker(s) died{waiting}: {', '.join(dead)}")
+            if time.monotonic() > deadline:
+                raise RuntimeError(message())
 
     def submit(self, batch: EventBatch, src_embeddings: np.ndarray,
                dst_embeddings: np.ndarray) -> int:
-        """Append the batch to the shared store and enqueue its propagation.
+        """Append the batch to the shared store and hand it to a worker.
 
         Returns the batch's sequence number.  Blocks while the backlog is at
         ``max_backlog`` (bounded-depth backpressure).  This sits *behind*
         the decision on the serving path: the score has already been
-        produced when the producer blocks here.
+        produced when the producer blocks here.  Embeddings must have shape
+        ``(len(batch), edge_feature_dim)``; anything else raises
+        ``ValueError`` before any side effect.
         """
         if not self._started:
             raise RuntimeError("runtime is not started")
-        telemetry = self._telemetry
-        deadline = time.monotonic() + self.config.submit_timeout_s
-        worker_id = self._submitted % self.config.num_workers
+        rows = len(batch)
+        expected = (rows, self.spec.edge_feature_dim)
+        if np.shape(src_embeddings) != expected or np.shape(dst_embeddings) != expected:
+            raise ValueError(
+                f"embeddings must have shape {expected}, got "
+                f"{np.shape(src_embeddings)} and {np.shape(dst_embeddings)}")
+        telemetry, ring = self._telemetry, self._ring
+        seq = self._submitted
+        worker_id, slot = seq % self.config.num_workers, seq % self.config.max_backlog
         with telemetry.span("scorer.submit") as submit_span:
-            with self._cond:
-                while self._submitted - self._delivered.value >= self.config.max_backlog:
-                    self._check_workers_alive()
-                    if time.monotonic() > deadline:
-                        raise RuntimeError(
-                            f"backpressure timeout: backlog stuck at "
-                            f"{self._submitted - self._delivered.value} for "
-                            f"{self.config.submit_timeout_s}s"
-                        )
-                    self._cond.wait(0.5)
-                seq = self._submitted
-                self._submitted += 1
-                self._submitted_shared[worker_id] += 1
-                delivered = self._delivered.value
-                backlog = self._submitted - delivered
-                self._max_backlog_seen = max(self._max_backlog_seen, backlog)
-            self._prune_inflight(delivered)
-            # Publish the events before the task that references them: the
-            # store's header publish happens-before the queue put, so a worker
-            # that sees the task can always remap to the rows it names.
+            if rows > ring["control"][_CAPACITY]:
+                self.drain()
+                self._grow(rows)
+            self._acquire(
+                self._space, time.monotonic() + self.config.submit_timeout_s,
+                " under backpressure",
+                lambda: f"backpressure timeout: backlog stuck at "
+                        f"{self._submitted - self.delivered_count} for "
+                        f"{self.config.submit_timeout_s}s")
+            # Publish the events before the slot that references them: the
+            # store's header publish happens-before the items release, so a
+            # worker that takes the slot can always remap to its rows.
             start_row = self._store.num_events
-            self._store.append_batch(batch.src, batch.dst, batch.timestamps,
-                                     batch.edge_features, batch.labels)
-            task = _Task(
-                seq=seq,
-                start_row=start_row,
-                stop_row=self._store.num_events,
-                src_embeddings=np.asarray(src_embeddings, dtype=np.float64),
-                dst_embeddings=np.asarray(dst_embeddings, dtype=np.float64),
-                submitted_wall=time.monotonic(),
-            )
-            self._inflight_walls.append((seq, task.submitted_wall))
-            self._queues[worker_id].put(task)
-            submit_span.set_arg(task.stop_row - start_row)
+            try:
+                self._store.append_batch(batch.src, batch.dst, batch.timestamps,
+                                         batch.edge_features, batch.labels)
+            except BaseException:
+                self._space.release()
+                raise
+            slabs = self._slabs
+            slabs["src"][slot, :rows] = src_embeddings
+            slabs["dst"][slot, :rows] = dst_embeddings
+            ring["slots"][slot] = (seq, start_row, self._store.num_events)
+            ring["walls"][slot] = time.monotonic()
+            self._submitted = seq + 1
+            ring["counts"][1, worker_id] += 1
+            self._items[worker_id].release()
+            backlog = self._submitted - int(ring["control"][_DELIVERED])
+            self._max_backlog_seen = max(self._max_backlog_seen, backlog)
+            submit_span.set_arg(rows)
         telemetry.gauge("backlog", float(backlog))
         telemetry.count("batches.submitted")
-        telemetry.count("events.submitted", float(task.stop_row - start_row))
+        telemetry.count("events.submitted", float(rows))
         return seq
 
     def drain(self, timeout_s: float | None = None) -> None:
@@ -688,32 +734,39 @@ class ServingRuntime:
             return
         deadline = time.monotonic() + (timeout_s if timeout_s is not None
                                        else self.config.drain_timeout_s)
-        with self._cond:
-            while self._delivered.value < self._submitted:
-                self._check_workers_alive()
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"drain timeout: {self._submitted - self._delivered.value} "
-                        f"batches still undelivered"
-                    )
-                self._cond.wait(0.5)
+        # Every undelivered batch holds one ``space`` permit until its worker
+        # has applied it and published its progress words: holding all of
+        # them means the pool is idle.
+        held = 0
+        try:
+            while held < self.config.max_backlog:
+                self._acquire(
+                    self._space, deadline, "",
+                    lambda: f"drain timeout: {self._submitted - self.delivered_count} "
+                            f"batches still undelivered")
+                held += 1
+        finally:
+            for _ in range(held):
+                self._space.release()
 
     # ------------------------------------------------------------------ #
-    # Observability
+    # Observability — lock-free reads of the ring header
     # ------------------------------------------------------------------ #
     def staleness(self) -> StalenessSnapshot:
         """Backlog depth, delivered-event-time watermark, wall staleness."""
         if not self._started:
             return StalenessSnapshot(backlog=0, watermark=float("inf"))
-        with self._cond:
-            delivered = self._delivered.value
-            backlog = self._submitted - delivered
-            watermark = max(self._watermark[:])
-        self._prune_inflight(delivered)
+        ring = self._ring
+        delivered = int(ring["control"][_DELIVERED])
+        backlog = self._submitted - delivered
         staleness_ms = 0.0
-        if backlog and self._inflight_walls:
-            staleness_ms = 1000.0 * (time.monotonic() - self._inflight_walls[0][1])
-        return StalenessSnapshot(backlog=backlog, watermark=watermark,
+        if backlog:
+            # The oldest undelivered batch's slot cannot be reused before it
+            # is delivered, and only this process reuses slots.
+            oldest_wall = ring["walls"][delivered % self.config.max_backlog]
+            staleness_ms = 1000.0 * (time.monotonic() - oldest_wall)
+        return StalenessSnapshot(backlog=backlog,
+                                 watermark=float(ring["progress"][0].max()),
                                  staleness_ms=staleness_ms)
 
     @property
@@ -729,37 +782,26 @@ class ServingRuntime:
     def telemetry_snapshot(self) -> RuntimeTelemetrySnapshot:
         """Live pool progress mid-run, straight from shared memory.
 
-        Works whether or not ``config.telemetry`` is on — the shared
-        progress arrays always exist; only ``metrics`` needs the telemetry
-        segments.  Safe to call from the scorer at any time (one condition
-        acquisition, no pickling, workers never pause).
+        Works whether or not ``config.telemetry`` is on — the ring header
+        always exists; only ``metrics`` needs the telemetry segments.  Safe
+        to call from the scorer at any time (no lock, no pickling, workers
+        never pause).
         """
         staleness = self.staleness()
-        if not self._started:
-            return RuntimeTelemetrySnapshot(
-                backlog=0, submitted=self._submitted, delivered=self._submitted,
-                watermark=staleness.watermark, staleness_ms=0.0,
-                per_worker_delivered=[], per_worker_watermark=[],
-                per_worker_mean_lag_ms=[],
-                metrics=self._telemetry.snapshot())
-        with self._cond:
-            delivered = self._delivered.value
-            per_worker_completed = list(self._completed[:])
-            per_worker_watermark = list(self._watermark[:])
-            per_worker_lag_sum = list(self._lag_sum[:])
-        per_worker_mean_lag_ms = [
-            1000.0 * lag / done if done else 0.0
-            for lag, done in zip(per_worker_lag_sum, per_worker_completed)
-        ]
+        completed, watermarks, lag_sums = [], [], []
+        if self._started:
+            completed = self._ring["counts"][0].tolist()
+            watermarks, lag_sums = self._ring["progress"].tolist()
         return RuntimeTelemetrySnapshot(
             backlog=staleness.backlog,
             submitted=self._submitted,
-            delivered=delivered,
+            delivered=self._submitted - staleness.backlog,
             watermark=staleness.watermark,
             staleness_ms=staleness.staleness_ms,
-            per_worker_delivered=per_worker_completed,
-            per_worker_watermark=per_worker_watermark,
-            per_worker_mean_lag_ms=per_worker_mean_lag_ms,
+            per_worker_delivered=completed,
+            per_worker_watermark=watermarks,
+            per_worker_mean_lag_ms=[1000.0 * lag / done if done else 0.0
+                                    for lag, done in zip(lag_sums, completed)],
             metrics=self._telemetry.snapshot(),
         )
 
@@ -771,8 +813,7 @@ class ServingRuntime:
     def delivered_count(self) -> int:
         if not self._started:
             return self._submitted
-        with self._cond:
-            return self._delivered.value
+        return int(self._ring["control"][_DELIVERED])
 
     @property
     def max_backlog_seen(self) -> int:
@@ -786,25 +827,14 @@ class ServingRuntime:
 
     def mean_delivery_lag_ms(self) -> float:
         """Mean wall-clock time from submit to delivery completion."""
-        if not self._started:
+        # Count first: a worker adds its lag before its count.
+        completed = int(self._ring["counts"][0].sum()) if self._started else 0
+        if not completed:
             return 0.0
-        with self._cond:
-            delivered = self._delivered.value
-            if delivered == 0:
-                return 0.0
-            return 1000.0 * sum(self._lag_sum[:]) / delivered
+        return 1000.0 * float(self._ring["progress"][1].sum()) / completed
 
     def workers_alive(self) -> int:
         return sum(worker.is_alive() for worker in self._workers)
 
     def worker_pids(self) -> list[int]:
         return [worker.pid for worker in self._workers]
-
-    # ------------------------------------------------------------------ #
-    def _check_workers_alive(self) -> None:
-        dead = [worker.name for worker in self._workers if not worker.is_alive()]
-        if dead:
-            raise RuntimeError(
-                f"propagation worker(s) died: {', '.join(dead)} — "
-                "the backlog can never drain"
-            )

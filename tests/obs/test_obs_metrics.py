@@ -138,6 +138,24 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="not shared"):
             metrics.handle()
 
+    def test_release_unlinks_when_a_live_view_pins_a_segment(self):
+        """Some NumPy versions make ``close`` raise ``BufferError`` while a
+        view is alive; release must still unlink every segment and return."""
+        before = _shm_segment_names()
+        bundle = SharedArrayBundle.create({"a": ((4,), np.float64),
+                                           "b": ((4,), np.float64)})
+        pinned = bundle._segments["a"]
+
+        def pinned_close():
+            raise BufferError("cannot close exported pointers exist")
+
+        pinned.close = pinned_close
+        bundle.release(keep=False)
+        assert not bundle.is_shared
+        assert _shm_segment_names() == before
+        del pinned.close
+        pinned.close()
+
     def test_garbage_collection_unlinks(self, spec):
         before = _shm_segment_names()
         metrics = SharedMetrics.create(spec, num_writers=1)

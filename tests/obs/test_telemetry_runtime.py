@@ -86,8 +86,23 @@ class TestServingTrace:
         span_names = {e["name"] for e in trace_document["traceEvents"]
                       if e.get("ph") == "X"}
         for required in ("scorer.submit", "queue.ride", "worker.propagate",
-                         "worker.apply", "store.append", "view.fold"):
+                         "worker.apply", "worker.order_wait", "store.append",
+                         "view.fold"):
             assert required in span_names, f"no {required} span in trace"
+
+    def test_order_wait_nests_inside_apply(self, trace_document):
+        # worker.order_wait times only the wait for the batch's turn; the
+        # enclosing worker.apply span still covers it.
+        spans = [e for e in trace_document["traceEvents"] if e.get("ph") == "X"]
+        applies = [e for e in spans if e["name"] == "worker.apply"]
+        waits = [e for e in spans if e["name"] == "worker.order_wait"]
+        assert len(waits) == len(applies) == len(make_stream())
+        for wait in waits:
+            assert any(apply["pid"] == wait["pid"]
+                       and apply["args"]["value"] == wait["args"]["value"]
+                       and apply["ts"] <= wait["ts"]
+                       and wait["ts"] + wait["dur"] <= apply["ts"] + apply["dur"]
+                       for apply in applies), wait
 
     def test_view_fold_spans_carry_rows_folded(self, trace_document):
         # Index maintenance is its own span, separable from sampling: each

@@ -33,22 +33,26 @@ SLOTS = 5
 
 def make_stream(num_events, batch_size, seed=1000):
     """Deterministic batches with per-batch embeddings, timestamps increasing."""
+    return make_sized_stream([batch_size] * (num_events // batch_size), seed)
+
+
+def make_sized_stream(sizes, seed=2000):
+    """Batches of the given sizes (zero allowed), timestamps increasing."""
     batches = []
     t = 0.0
-    for index in range(num_events // batch_size):
+    for index, size in enumerate(sizes):
         rng = np.random.default_rng(seed + index)
-        src = rng.integers(0, NUM_NODES // 2, batch_size).astype(np.int64)
-        dst = rng.integers(NUM_NODES // 2, NUM_NODES, batch_size).astype(np.int64)
-        timestamps = np.sort(rng.uniform(t, t + 50.0, batch_size))
-        t = timestamps[-1]
+        src = rng.integers(0, NUM_NODES // 2, size).astype(np.int64)
+        dst = rng.integers(NUM_NODES // 2, NUM_NODES, size).astype(np.int64)
+        timestamps = np.sort(rng.uniform(t, t + 50.0, size))
+        t = timestamps[-1] if size else t
         batch = EventBatch(
             src=src, dst=dst, timestamps=timestamps,
-            edge_features=rng.normal(size=(batch_size, DIM)),
-            labels=np.zeros(batch_size), edge_ids=np.arange(batch_size),
+            edge_features=rng.normal(size=(size, DIM)),
+            labels=np.zeros(size), edge_ids=np.arange(size),
         )
-        batches.append((batch,
-                        rng.normal(size=(batch_size, DIM)),
-                        rng.normal(size=(batch_size, DIM))))
+        batches.append((batch, rng.normal(size=(size, DIM)),
+                        rng.normal(size=(size, DIM))))
     return batches
 
 
@@ -134,6 +138,25 @@ class TestEquivalence:
                                    start_method="spawn"))
         assert_mailboxes_equal(reference, delivered)
 
+    @pytest.mark.parametrize("start_method", [
+        "fork", pytest.param("spawn", marks=pytest.mark.skipif(
+            "spawn" not in __import__("multiprocessing").get_all_start_methods(),
+            reason="spawn start method unavailable"))])
+    @pytest.mark.parametrize("num_workers, max_backlog", [
+        (2, 1), (2, 3), (3, 1), (3, 3)])
+    def test_mixed_batch_sizes_and_ring_growth_match_sequential(
+            self, start_method, num_workers, max_backlog):
+        """Empty, tiny, full and oversized batches stay bit-equal; the
+        1000-event one outgrows the ring's 200-row slots mid-stream."""
+        batches = make_sized_stream([0, 1, 200, 1, 1000, 0, 200, 3, 0, 1])
+        reference = sequential_reference(batches)
+        delivered, backlog_seen = run_through_runtime(
+            batches, RuntimeConfig(num_workers=num_workers,
+                                   max_backlog=max_backlog,
+                                   start_method=start_method))
+        assert_mailboxes_equal(reference, delivered)
+        assert backlog_seen <= max_backlog
+
     @pytest.mark.slow
     def test_soak_100k_events_zero_mail_loss(self):
         """Sustained-rate soak: 100k events, bounded backlog, zero lost mail."""
@@ -174,19 +197,33 @@ class TestBackpressureAndStaleness:
         # Event lag measured at the end of the stream is zero once drained.
         assert final.event_lag(batches[-1][0].end_time) == 0.0
 
-    def test_inflight_walls_stay_bounded_without_staleness_polls(self):
-        """submit() prunes delivered batches itself (it used to be staleness())."""
-        batches = make_stream(num_events=2_000, batch_size=2)
-        assert len(batches) == 1_000
+    def test_staleness_dates_the_oldest_undelivered_batch(self):
+        """Wall staleness is the age of the oldest batch still in the ring."""
+        batches = make_stream(num_events=300, batch_size=100)
         mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
         spec = PropagatorSpec(NUM_NODES, DIM,
                               dict(num_hops=2, num_neighbors=5, seed=3))
-        config = RuntimeConfig(num_workers=1, max_backlog=4)
-        with ServingRuntime(mailbox, spec, config) as runtime:
-            for batch, src_emb, dst_emb in batches:
-                runtime.submit(batch, src_emb, dst_emb)
-                assert len(runtime._inflight_walls) <= config.max_backlog
+        with ServingRuntime(mailbox, spec,
+                            RuntimeConfig(num_workers=1, max_backlog=4)) as runtime:
+            (worker_pid,) = runtime.worker_pids()
+            os.kill(worker_pid, signal.SIGSTOP)  # nothing gets delivered
+            try:
+                before_first = time.monotonic()
+                runtime.submit(*batches[0])
+                after_first = time.monotonic()
+                for batch, src_emb, dst_emb in batches[1:]:
+                    runtime.submit(batch, src_emb, dst_emb)
+                time.sleep(0.05)
+                asked = time.monotonic()
+                snapshot = runtime.staleness()
+                answered = time.monotonic()
+            finally:
+                os.kill(worker_pid, signal.SIGCONT)
             runtime.drain()
+            assert runtime.staleness().staleness_ms == 0.0
+        assert snapshot.backlog == 3
+        assert 1000.0 * (asked - after_first) <= snapshot.staleness_ms \
+            <= 1000.0 * (answered - before_first)
 
     def test_mean_delivery_lag_is_positive_after_work(self):
         batches = make_stream(num_events=1_000, batch_size=100)
@@ -199,6 +236,56 @@ class TestBackpressureAndStaleness:
                 runtime.submit(batch, src_emb, dst_emb)
             runtime.drain()
             assert runtime.mean_delivery_lag_ms() > 0.0
+
+
+class TestHandOff:
+    def test_submit_pickles_nothing(self, monkeypatch):
+        """The hand-off ring copies embeddings into shared memory: no
+        per-batch pickling anywhere on the submit path."""
+        from multiprocessing.reduction import ForkingPickler
+        batches = make_stream(num_events=5_000, batch_size=100)
+        assert len(batches) == 50
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        spec = PropagatorSpec(NUM_NODES, DIM,
+                              dict(num_hops=2, num_neighbors=5, seed=3))
+        with ServingRuntime(mailbox, spec,
+                            RuntimeConfig(num_workers=2, max_backlog=4)) as runtime:
+            dumps = ForkingPickler.dumps
+            calls = []
+
+            def counting_dumps(*args, **kwargs):
+                calls.append(args)
+                return dumps(*args, **kwargs)
+
+            monkeypatch.setattr(ForkingPickler, "dumps", counting_dumps)
+            for batch, src_emb, dst_emb in batches:
+                runtime.submit(batch, src_emb, dst_emb)
+            runtime.drain()
+            monkeypatch.undo()
+        assert calls == []
+
+    def test_wrong_embedding_shape_is_rejected_before_any_side_effect(self):
+        batches = make_stream(num_events=1_000, batch_size=10)
+        reference = sequential_reference(batches)
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        spec = PropagatorSpec(NUM_NODES, DIM,
+                              dict(num_hops=2, num_neighbors=5, seed=3))
+        with ServingRuntime(mailbox, spec,
+                            RuntimeConfig(num_workers=2, max_backlog=4)) as runtime:
+            batch, src_emb, dst_emb = batches[0]
+            with pytest.raises(ValueError, match="shape"):
+                runtime.submit(batch, src_emb[:3], dst_emb)
+            with pytest.raises(ValueError, match="shape"):
+                runtime.submit(batch, src_emb, dst_emb[:, :DIM - 1])
+            assert runtime.store.num_events == 0
+            assert runtime.submitted_count == 0
+            # The pool is still alive and serves the stream as if the bad
+            # submits never happened.
+            for batch, src_emb, dst_emb in batches:
+                runtime.submit(batch, src_emb, dst_emb)
+            runtime.drain()
+            assert runtime.workers_alive() == 2
+        assert_mailboxes_equal(reference, mailbox)
 
 
 class TestPerWorkerProgress:
@@ -346,6 +433,22 @@ class TestGracefulShutdown:
             runtime.close(drain=False)
         assert_mailboxes_equal(reference, mailbox)
 
+    def test_close_without_drain_still_delivers_a_healthy_backlog(self):
+        """``close(drain=False)`` skips the error checks, not the delivery:
+        a live pool hands over everything submitted, in order."""
+        batches = make_stream(num_events=2_000, batch_size=100)
+        reference = sequential_reference(batches)
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        spec = PropagatorSpec(NUM_NODES, DIM,
+                              dict(num_hops=2, num_neighbors=5, seed=3))
+        runtime = ServingRuntime(mailbox, spec,
+                                 RuntimeConfig(num_workers=2, max_backlog=64))
+        runtime.start()
+        for batch, src_emb, dst_emb in batches:
+            runtime.submit(batch, src_emb, dst_emb)
+        runtime.close(drain=False)
+        assert_mailboxes_equal(reference, mailbox)
+
     def test_dead_worker_is_detected_under_backpressure(self):
         batches = make_stream(num_events=1_000, batch_size=100)
         mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
@@ -436,6 +539,22 @@ def _shm_segment_names():
         return set()
 
 
+def _record_bundle_segments(monkeypatch):
+    """Collect the names of every segment the runtime's ring bundles create."""
+    from repro.serving import runtime as runtime_module
+    names = set()
+    create = runtime_module.SharedArrayBundle.create.__func__
+
+    def recording_create(cls, specs, prefix=None):
+        bundle = create(cls, specs, prefix)
+        names.update(name for name, _, _ in bundle.handle().segments.values())
+        return bundle
+
+    monkeypatch.setattr(runtime_module.SharedArrayBundle, "create",
+                        classmethod(recording_create))
+    return names
+
+
 def _event_store_dirs():
     import glob
     import tempfile
@@ -451,9 +570,10 @@ class TestSharedStateCleanup:
     close() was a no-op and release_shared() never ran.
     """
 
-    def test_failed_start_cleans_up_everything(self):
+    def test_failed_start_cleans_up_everything(self, monkeypatch):
         segments_before = _shm_segment_names()
         stores_before = _event_store_dirs()
+        ring_segments = _record_bundle_segments(monkeypatch)
         mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
         # A spec the worker cannot build: it dies before reporting ready.
         spec = PropagatorSpec(NUM_NODES, DIM, dict(sampling="no-such-strategy"))
@@ -461,21 +581,32 @@ class TestSharedStateCleanup:
         with pytest.raises(RuntimeError, match="died during startup"):
             runtime.start()
         assert not mailbox.is_shared
+        # The ring header and its embedding slots existed, and are gone.
+        assert len(ring_segments) == 7
+        assert not ring_segments & _shm_segment_names()
         assert _shm_segment_names() == segments_before
         assert _event_store_dirs() == stores_before
         # The mailbox survived the failed start in private memory.
         mailbox.read(np.array([0, 1]))
         runtime.close()  # idempotent no-op after the failed start
 
-    def test_sigkilled_worker_close_unlinks_segments(self):
+    def test_sigkilled_worker_close_unlinks_segments(self, monkeypatch):
         segments_before = _shm_segment_names()
         stores_before = _event_store_dirs()
         mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
         spec = PropagatorSpec(NUM_NODES, DIM,
                               dict(num_hops=2, num_neighbors=5, seed=3))
+        ring_segments = _record_bundle_segments(monkeypatch)
         runtime = ServingRuntime(mailbox, spec,
                                  RuntimeConfig(num_workers=2, max_backlog=4))
         runtime.start()
+        # Two ring generations: the 1000-event batch outgrows the slots.
+        for batch, src_emb, dst_emb in make_sized_stream([10, 1000, 10]):
+            runtime.submit(batch, src_emb, dst_emb)
+        live_ring = {name for name, _, _ in runtime._ring.handle().segments.values()} \
+            | {name for name, _, _ in runtime._slabs.handle().segments.values()}
+        assert len(ring_segments) == 9 and live_ring < ring_segments
+        assert live_ring <= _shm_segment_names()
         for pid in runtime.worker_pids():
             os.kill(pid, signal.SIGKILL)
         deadline = time.monotonic() + 30.0
@@ -484,6 +615,36 @@ class TestSharedStateCleanup:
                 pytest.fail("SIGKILLed workers did not exit")
             time.sleep(0.02)
         runtime.close(drain=False)
+        assert not mailbox.is_shared
+        assert not ring_segments & _shm_segment_names()
+        assert _shm_segment_names() == segments_before
+        assert _event_store_dirs() == stores_before
+
+    @pytest.mark.parametrize("failure", ["killed", "stuck"])
+    def test_close_while_submit_error_is_live_keeps_the_error(self, failure):
+        """``close`` inside the ``except`` that caught submit's error, whose
+        traceback is still alive, releases everything and raises nothing."""
+        segments_before = _shm_segment_names()
+        stores_before = _event_store_dirs()
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        spec = PropagatorSpec(NUM_NODES, DIM,
+                              dict(num_hops=2, num_neighbors=5, seed=3))
+        runtime = ServingRuntime(mailbox, spec, RuntimeConfig(
+            num_workers=1, max_backlog=1, submit_timeout_s=0.3))
+        runtime.start()
+        (pid,) = runtime.worker_pids()
+        os.kill(pid, signal.SIGKILL if failure == "killed" else signal.SIGSTOP)
+        try:
+            for batch, src_emb, dst_emb in make_stream(1_000, 100):
+                runtime.submit(batch, src_emb, dst_emb)
+        except RuntimeError as error:
+            if failure == "stuck":
+                os.kill(pid, signal.SIGCONT)
+            runtime.close(drain=False)
+            expected = "died" if failure == "killed" else "backpressure timeout"
+            assert expected in str(error)
+        else:
+            pytest.fail("submit never noticed the failed worker")
         assert not mailbox.is_shared
         assert _shm_segment_names() == segments_before
         assert _event_store_dirs() == stores_before
