@@ -11,13 +11,14 @@ test:
 test-fast:
 	$(PYTHON) -m pytest -q tests/
 
-## Prove the vectorized propagation + encoder engines match their reference
-## engines (byte-equal mailboxes), plus the hypothesis property suites, the
-## bit-equality gates of the analytics views (incremental folds vs recompute
-## oracles) and of the event store / graph view, and the serving runtime's
-## ordered-apply gates (worker-pool mailbox == sequential propagation, and
-## worker-pool routing == inline).  CI runs this target, so the file list
-## lives here only.
+## Prove the propagation + encoder fast paths match their test oracles in
+## tests/_engine_oracles.py (byte-equal mailboxes, encodes within 1e-9), plus
+## the hypothesis property suites, the bit-equality gates of the analytics
+## views (incremental folds vs recompute oracles) and of the event store /
+## graph view, and the serving runtime's ordered-apply gates (worker-pool
+## mailbox == sequential propagation, also for a propagator built with
+## seed=None, and worker-pool routing == inline).  CI runs this target, so
+## the file list lives here only.
 equivalence:
 	$(PYTHON) -m pytest -q tests/core/test_propagation_equivalence.py \
 		tests/core/test_encoder_equivalence.py tests/property/ \
@@ -28,8 +29,9 @@ equivalence:
 ## Every bench-* target below writes its records (BENCH_*.json, view_fold.json,
 ## TRACE_serving.json) under the ignored benchmarks/out/.
 ##
-## Measure both engine pairs (propagation and encoder) on the 10k-event
-## synthetic stream and write BENCH_propagation.json / BENCH_encoder.json;
+## Time the propagation and encoder fast paths against their test oracles on
+## the 10k-event synthetic stream and write BENCH_propagation.json /
+## BENCH_encoder.json;
 ## also assert that adjacency fold + sample_many per 200-event batch stays
 ## flat from a 30k- to a 300k-event hub stream (<= FOLD_BENCH_RATIO_CEILING,
 ## 2x; record in view_fold.json).

@@ -8,12 +8,7 @@ from .interfaces import BatchEmbeddings, TemporalEmbeddingModel
 from .interpret import MailAttribution, explain_node
 from .mailbox import Mailbox, MailboxGather
 from .model import APAN
-from .propagator import (
-    MailPropagator,
-    PropagationReport,
-    ReferencePropagator,
-    VectorizedPropagator,
-)
+from .propagator import MailPropagator, PropagationReport
 from .trainer import LinkPredictionTrainer, TrainingResult
 
 __all__ = [
@@ -23,8 +18,6 @@ __all__ = [
     "Mailbox",
     "MailboxGather",
     "MailPropagator",
-    "ReferencePropagator",
-    "VectorizedPropagator",
     "PropagationReport",
     "LinkPredictionDecoder",
     "EdgeClassificationDecoder",

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import dataclasses
+from dataclasses import dataclass, asdict
 
 __all__ = ["APANConfig"]
 
@@ -27,21 +28,12 @@ class APANConfig:
     mail_rho: str = "mean"
     mail_passing: str = "identity"
     mailbox_update: str = "fifo"
-    # Which mail-routing engine to run: "vectorized" (batch array ops, the
-    # fast default) or "reference" (the per-event oracle loop the equivalence
-    # suite checks the fast path against).
-    propagation_engine: str = "vectorized"
 
     # Encoder / decoder
     num_attention_heads: int = 2
     mlp_hidden_dim: int = 80
     dropout: float = 0.1
     positional_encoding: str = "learned"
-    # Which encoder execution engine to run: "vectorized" (whole-batch masked
-    # attention over the dense mailbox stack, the fast default) or
-    # "reference" (the per-node oracle loop that
-    # tests/core/test_encoder_equivalence.py checks the fast path against).
-    encoder_engine: str = "vectorized"
 
     # Optimisation
     learning_rate: float = 1e-4
@@ -52,8 +44,6 @@ class APANConfig:
 
     # Reproducibility
     seed: int = 0
-
-    extra: dict = field(default_factory=dict)
 
     def validate(self) -> "APANConfig":
         """Raise ``ValueError`` for out-of-range settings; return self when valid."""
@@ -71,10 +61,6 @@ class APANConfig:
             raise ValueError("batch_size must be positive")
         if self.num_attention_heads <= 0:
             raise ValueError("num_attention_heads must be positive")
-        if self.propagation_engine not in ("reference", "vectorized"):
-            raise ValueError("propagation_engine must be 'reference' or 'vectorized'")
-        if self.encoder_engine not in ("reference", "vectorized"):
-            raise ValueError("encoder_engine must be 'reference' or 'vectorized'")
         return self
 
     def as_dict(self) -> dict:
@@ -96,14 +82,9 @@ class APANConfig:
             "rho": self.mail_rho,
             "mail_passing": self.mail_passing,
             "seed": self.seed,
-            "engine": self.propagation_engine,
         }
 
     def replace(self, **overrides) -> "APANConfig":
-        """Return a copy with the given fields replaced."""
-        values = self.as_dict()
-        extra = values.pop("extra")
-        values.update(overrides)
-        config = APANConfig(**values)
-        config.extra = dict(extra)
-        return config
+        """Return a copy with the given fields replaced (``TypeError`` for an
+        unknown field)."""
+        return dataclasses.replace(self, **overrides)

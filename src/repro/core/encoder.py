@@ -14,48 +14,38 @@ The encoder turns a node's *last* embedding ``z(t-)`` and its mailbox
 
 No graph query happens anywhere in this module — that is the point of APAN.
 
-Engines
--------
-Like the mail propagator, the encoder has two interchangeable execution
-engines behind :meth:`APANEncoder.encode_many` (selected by
-``APANConfig.encoder_engine``):
+:meth:`APANEncoder.encode_many` runs positional encoding, masked multi-head
+attention, LayerNorm and the MLP head over the *whole* dense
+``(N, num_slots, dim)`` mailbox stack in single array ops, through one of
+two forwards, chosen from the encoder's state and never by an option:
 
-* ``engine="reference"`` — encode one node at a time, exactly as the paper's
-  per-event description reads.  Slow (a Python-level loop over the batch),
-  but trivially auditable; it defines the semantics.
-* ``engine="vectorized"`` (the default) — run positional encoding, masked
-  multi-head attention, LayerNorm and the MLP head over the *whole* dense
-  ``(N, num_slots, dim)`` mailbox stack in single array ops.
+* the ``Tensor`` forward (``APANEncoder._encode_tensor``) — autograd ops,
+  taken whenever gradients are on, the time encoding is selected or dropout
+  is live;
+* the inference forward — under ``no_grad()`` with the learned positional
+  encoding and dropout idle, the same operations in the same order on plain
+  ndarrays.  Serving encodes a handful of nodes per decision, where building
+  ``Tensor`` graph nodes costs more than the arithmetic.  Outputs and
+  ``last_attention_weights`` are *bit*-equal to the ``Tensor`` forward
+  (``TestInferenceForward`` in ``tests/core/test_encoder_equivalence.py``).
 
-Both engines run through the same parameter set and the same autograd ops,
-so they agree to within 1e-9 whenever dropout is inactive (eval mode, or
-``dropout=0.0``) — ``tests/core/test_encoder_equivalence.py`` asserts this.
-With dropout *active* the engines draw different random masks (one draw per
-node versus one draw per batch) and are only equal in distribution.
-
-Inference forward: serving encodes a handful of nodes per decision, where
-building ``Tensor`` graph nodes costs more than the arithmetic.  So under
-``no_grad()`` with the vectorized engine, the learned positional encoding and
-dropout inactive, :meth:`APANEncoder.encode_many` runs the same operations in
-the same order on plain ndarrays — chosen from that state, not by an option;
-outputs and ``last_attention_weights`` are *bit*-equal to the ``Tensor``
-forward (``TestInferenceForward`` in the equivalence suite), which every
-other case still takes.
+The paper's per-node description is kept as a test oracle
+(``tests/_engine_oracles.py``): one node at a time through the same module
+stack.  The equivalence suite injects it in place of ``encode_many`` and
+asserts agreement within 1e-9 with dropout inactive; with dropout *active*
+the two draw different masks and are only equal in distribution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.attention import MultiHeadAttention
 from ..nn.layers import Dropout, Embedding, LayerNorm, MLP, TimeEncode
 from ..nn.module import Module
 from ..nn.tensor import Tensor, is_grad_enabled
 
 __all__ = ["APANEncoder"]
-
-_ENGINE_CHOICES = ("reference", "vectorized")
 
 
 class APANEncoder(Module):
@@ -64,18 +54,14 @@ class APANEncoder(Module):
     def __init__(self, embedding_dim: int, num_slots: int, num_heads: int = 2,
                  hidden_dim: int = 80, dropout: float = 0.1,
                  positional_encoding: str = "learned",
-                 engine: str = "vectorized",
                  rng: np.random.Generator | None = None):
         super().__init__()
         if positional_encoding not in ("learned", "time"):
             raise ValueError("positional_encoding must be 'learned' or 'time'")
-        if engine not in _ENGINE_CHOICES:
-            raise ValueError(f"engine must be one of {_ENGINE_CHOICES}")
         rng = rng if rng is not None else np.random.default_rng()
         self.embedding_dim = embedding_dim
         self.num_slots = num_slots
         self.positional_encoding = positional_encoding
-        self.engine = engine
 
         if positional_encoding == "learned":
             self.position_embedding = Embedding(num_slots, embedding_dim, rng=rng)
@@ -108,11 +94,11 @@ class APANEncoder(Module):
         return mails_tensor + encoded.reshape(mails.shape[0], self.num_slots, -1)
 
     # ------------------------------------------------------------------ #
-    # Public batch entry point (engine dispatch)
+    # Public batch entry point
     # ------------------------------------------------------------------ #
     def encode_many(self, last_embeddings: Tensor, mails: np.ndarray,
                     mail_times: np.ndarray, valid: np.ndarray,
-                    current_time: float, engine: str | None = None) -> Tensor:
+                    current_time: float) -> Tensor:
         """Compute z(t) for a batch of nodes from a dense mailbox stack.
 
         Parameters
@@ -126,41 +112,32 @@ class APANEncoder(Module):
             :meth:`Mailbox.gather_many`.
         current_time:
             Time of the current batch (used only by the time-encoding variant).
-        engine:
-            Optional override of the engine chosen at construction time
-            (``"reference"`` or ``"vectorized"``).
         """
-        engine = self.engine if engine is None else engine
-        if engine not in _ENGINE_CHOICES:
-            raise ValueError(f"engine must be one of {_ENGINE_CHOICES}")
         batch_size = last_embeddings.shape[0]
         if mails.shape[:2] != (batch_size, self.num_slots):
             raise ValueError(
                 f"mailbox shape {mails.shape} does not match "
                 f"(batch={batch_size}, slots={self.num_slots})"
             )
-        if engine == "reference":
-            return self._encode_reference(last_embeddings, mails, mail_times,
-                                          valid, current_time)
         if (not is_grad_enabled() and self.position_embedding is not None
                 and not (self.training and self.dropout.rate > 0.0)):
             return self._encode_inference(last_embeddings.data, mails, valid)
-        return self._encode_vectorized(last_embeddings, mails, mail_times,
-                                       valid, current_time)
+        return self._encode_tensor(last_embeddings, mails, mail_times, valid,
+                                   current_time)
 
     def forward(self, last_embeddings: Tensor, mails: np.ndarray,
                 mail_times: np.ndarray, valid: np.ndarray,
                 current_time: float) -> Tensor:
-        """Alias of :meth:`encode_many` with the constructed engine."""
+        """Alias of :meth:`encode_many`."""
         return self.encode_many(last_embeddings, mails, mail_times, valid,
                                 current_time)
 
     # ------------------------------------------------------------------ #
-    # Engine implementations
+    # The two forwards
     # ------------------------------------------------------------------ #
-    def _encode_vectorized(self, last_embeddings: Tensor, mails: np.ndarray,
-                           mail_times: np.ndarray, valid: np.ndarray,
-                           current_time: float) -> Tensor:
+    def _encode_tensor(self, last_embeddings: Tensor, mails: np.ndarray,
+                       mail_times: np.ndarray, valid: np.ndarray,
+                       current_time: float) -> Tensor:
         """Whole-batch array ops: one attention / LayerNorm / MLP call for N nodes."""
         batch_size = last_embeddings.shape[0]
         keyed_mailbox = self.encode_mailbox(mails, mail_times, current_time)
@@ -178,7 +155,7 @@ class APANEncoder(Module):
 
     def _encode_inference(self, last: np.ndarray, mails: np.ndarray,
                           valid: np.ndarray) -> Tensor:
-        """:meth:`_encode_vectorized` on plain ndarrays (no ``Tensor`` nodes).
+        """:meth:`_encode_tensor` on plain ndarrays (no ``Tensor`` nodes).
 
         Same operations in the same order on the same shapes, so outputs and
         ``last_attention_weights`` are bit-equal to the ``Tensor`` forward.
@@ -215,33 +192,6 @@ class APANEncoder(Module):
         normalised = centred / ((var + self.layer_norm.eps) ** 0.5)
         hidden = normalised * self.layer_norm.gain.data + self.layer_norm.bias.data
         return Tensor(self.head.infer(hidden))
-
-    def _encode_reference(self, last_embeddings: Tensor, mails: np.ndarray,
-                          mail_times: np.ndarray, valid: np.ndarray,
-                          current_time: float) -> Tensor:
-        """Per-node oracle loop: the batch is processed one node at a time.
-
-        Every row runs the exact same module stack as the vectorized engine,
-        so parameters, gradients and (with dropout inactive) outputs line up;
-        the per-row attention weights are re-stitched so interpretability
-        tooling sees the same ``(N, heads, 1, num_slots)`` array either way.
-        """
-        batch_size = last_embeddings.shape[0]
-        if batch_size == 0:
-            return self._encode_vectorized(last_embeddings, mails, mail_times,
-                                           valid, current_time)
-        outputs: list[Tensor] = []
-        weights: list[np.ndarray] = []
-        for row in range(batch_size):
-            out = self._encode_vectorized(
-                last_embeddings[row:row + 1],
-                mails[row:row + 1], mail_times[row:row + 1],
-                valid[row:row + 1], current_time,
-            )
-            outputs.append(out)
-            weights.append(self.attention.last_attention_weights)
-        self.attention._last_attention = np.concatenate(weights, axis=0)
-        return F.concat(outputs, axis=0)
 
     @property
     def last_attention_weights(self) -> np.ndarray | None:

@@ -5,21 +5,18 @@ the summary of one (reduced batch of) interaction(s) that happened in the
 node's k-hop temporal neighbourhood, labelled with its timestamp.  The mailbox
 supports exactly the operations the paper's asynchronous framework needs:
 
-* :meth:`deliver` — ψ, the mailbox update: push a whole batch of mails (one
-  or several per node — duplicates are resolved with vectorised
-  sequential-equivalent semantics), evicting the oldest when full;
-* :meth:`read` — return the dense ``(len(nodes), num_slots, mail_dim)`` view
-  plus a validity mask and the mail timestamps, *sorted by timestamp* (the
-  paper notes that sorting on read makes the model robust to out-of-order
-  event arrival in distributed streaming systems);
-* :meth:`gather_many` — the batched-encoder entry point: concatenate several
-  node-id arrays (e.g. sources, destinations and negatives of one event
-  batch), deduplicate them, and read each distinct mailbox exactly once,
-  returning the stacked mails, validity masks and the inverse map back to
-  the caller's order (consumed by
-  :meth:`repro.core.encoder.APANEncoder.encode_many`);
-* alternative update policies (``reservoir``, ``newest_overwrite``) used by
-  the ablation benchmarks.
+* :meth:`deliver` — ψ, the mailbox update: push a whole batch of mails
+  (duplicates resolved as sequential delivery would), evicting the oldest
+  when full; ``reservoir`` and ``newest_overwrite`` are ablation policies;
+* :meth:`read` — the dense ``(len(nodes), num_slots, mail_dim)`` stack with
+  validity mask and timestamps, *sorted by timestamp* (the paper notes this
+  makes the model robust to out-of-order arrival);
+* :meth:`gather_many` — the batched-encoder entry point: read each distinct
+  node of several node-id arrays once, plus the inverse map back;
+* :meth:`share_memory` / :meth:`attach` / :meth:`release_shared` — the
+  serving runtime's key-value store: the state arrays move into one
+  :class:`repro.obs._shm.SharedArrayBundle` that the scorer and every
+  propagation worker map.
 
 The store is a set of pre-allocated NumPy arrays, so reading a batch of nodes
 is a single fancy-indexing operation — this is what keeps APAN's critical path
@@ -28,31 +25,22 @@ free of graph queries.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mailbox", "MailboxGather", "SharedMailboxHandle"]
+from ..obs._shm import BundleHandle, SharedArrayBundle
+
+__all__ = ["Mailbox", "MailboxGather", "MailboxHandle"]
 
 
 @dataclass
 class MailboxGather:
     """Deduplicated batched mailbox read returned by :meth:`Mailbox.gather_many`.
 
-    Attributes
-    ----------
-    nodes:
-        ``(U,)`` sorted distinct node ids actually read.
-    inverse:
-        ``(N,)`` indices with ``nodes[inverse]`` equal to the concatenation of
-        the query groups — row ``i`` of the caller's flattened query is served
-        by stacked row ``inverse[i]``.
-    mails, times, valid:
-        Dense stacks of shape ``(U, num_slots, mail_dim)``, ``(U, num_slots)``
-        and ``(U, num_slots)`` — exactly what :meth:`Mailbox.read` returns for
-        ``nodes``.
+    ``nodes`` are the ``U`` sorted distinct ids read; ``nodes[inverse]``
+    equals the concatenated query groups; ``mails``, ``times`` and ``valid``
+    are exactly what :meth:`Mailbox.read` returns for ``nodes``.
     """
 
     nodes: np.ndarray
@@ -64,80 +52,14 @@ class MailboxGather:
     def __len__(self) -> int:
         return len(self.nodes)
 
-@dataclass
-class SharedMailboxHandle:
-    """Picklable description of a shared-memory-backed :class:`Mailbox`.
 
-    Produced by :meth:`Mailbox.share_memory` in the process that owns the
-    mailbox and consumed by :meth:`Mailbox.attach` in worker processes.  It
-    carries the mailbox geometry plus the ``multiprocessing.shared_memory``
-    segment name of each state array, so any process on the machine can map
-    the same physical pages.
-    """
+@dataclass(frozen=True)
+class MailboxHandle:
+    """Picklable recipe for :meth:`Mailbox.attach`: the shared arrays plus
+    the update policy (the geometry is read off the arrays' shapes)."""
 
-    num_nodes: int
-    num_slots: int
-    mail_dim: int
+    bundle: BundleHandle
     update_policy: str = "fifo"
-    seed: int | None = None
-    segments: dict = field(default_factory=dict)
-
-
-def _shared_array_specs(num_nodes: int, num_slots: int,
-                        mail_dim: int) -> dict[str, tuple[tuple[int, ...], type]]:
-    """Shape/dtype of every Mailbox state array that lives in shared memory.
-
-    ``_next_slot`` and ``_delivered`` are included: delivery mutates them, and
-    workers must see each other's FIFO cursors for in-order delivery to be
-    equivalent to single-process delivery.
-    """
-    return {
-        "mails": ((num_nodes, num_slots, mail_dim), np.float64),
-        "mail_times": ((num_nodes, num_slots), np.float64),
-        "valid": ((num_nodes, num_slots), np.bool_),
-        "_next_slot": ((num_nodes,), np.int64),
-        "_delivered": ((num_nodes,), np.int64),
-    }
-
-
-def _open_shared_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it for cleanup.
-
-    The attaching process does not own the segment, but before Python 3.13
-    (``track=False``) every ``SharedMemory`` constructor registers with the
-    ``resource_tracker`` — which would let a worker's exit unlink the parent's
-    live memory (spawn) or unbalance the shared tracker (fork).  Suppressing
-    registration during attach is the standard pre-3.13 workaround.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def _unlink_leaked_segments(segments: dict) -> None:
-    """Last-resort cleanup for shared segments an owner never released.
-
-    Registered via ``weakref.finalize`` when a mailbox moves into shared
-    memory and detached again by :meth:`Mailbox.release_shared`.  If the
-    owning process reaches interpreter exit (or drops the mailbox) with the
-    segments still linked — e.g. a :class:`ServingRuntime` whose worker died
-    before ``close()`` ran — the segments are unlinked here so they do not
-    outlive the process in ``/dev/shm``.  Only ``unlink`` is attempted:
-    ``close`` could raise while NumPy views still hold the buffer, and the
-    kernel unmaps on process exit anyway.
-    """
-    for segment in segments.values():
-        try:
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            pass
 
 
 _UPDATE_POLICIES = ("fifo", "reservoir", "newest_overwrite")
@@ -145,6 +67,12 @@ _UPDATE_POLICIES = ("fifo", "reservoir", "newest_overwrite")
 
 class Mailbox:
     """Fixed-slot per-node mail storage with FIFO (or ablation) semantics."""
+
+    #: ``(key, attribute)`` of every state array, cursors included (workers
+    #: delivering in turn must see each other's): the one list sharing,
+    #: :meth:`reset` and :meth:`snapshot` / :meth:`restore` walk.
+    STATE = (("mails", "mails"), ("times", "mail_times"), ("valid", "valid"),
+             ("next_slot", "_next_slot"), ("delivered", "_delivered"))
 
     def __init__(self, num_nodes: int, num_slots: int, mail_dim: int,
                  update_policy: str = "fifo", seed: int | None = None):
@@ -159,23 +87,29 @@ class Mailbox:
         self.mail_dim = mail_dim
         self.update_policy = update_policy
         self._rng = np.random.default_rng(seed)
+        self._bundle, self._owner = None, False
 
         self.mails = np.zeros((num_nodes, num_slots, mail_dim))
         self.mail_times = np.zeros((num_nodes, num_slots))
         self.valid = np.zeros((num_nodes, num_slots), dtype=bool)
-        # Next slot to overwrite under FIFO, and how many mails ever delivered
-        # (needed by reservoir sampling).
         self._next_slot = np.zeros(num_nodes, dtype=np.int64)
         self._delivered = np.zeros(num_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
         """Clear all mailboxes (start of an epoch / a fresh stream)."""
-        self.mails.fill(0.0)
-        self.mail_times.fill(0.0)
-        self.valid.fill(False)
-        self._next_slot.fill(0)
-        self._delivered.fill(0)
+        for _, attribute in self.STATE:
+            getattr(self, attribute).fill(0)
+
+    def snapshot(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """A private copy of every state array, keyed ``prefix + key``."""
+        return {prefix + key: getattr(self, attribute).copy()
+                for key, attribute in self.STATE}
+
+    def restore(self, snapshot: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Copy a :meth:`snapshot` back in place (shared state stays shared)."""
+        for key, attribute in self.STATE:
+            getattr(self, attribute)[:] = snapshot[prefix + key]
 
     def occupancy(self, nodes: np.ndarray | None = None) -> np.ndarray:
         """Number of valid mails per node."""
@@ -192,22 +126,16 @@ class Mailbox:
                 timestamps: np.ndarray) -> None:
         """Deliver a batch of mails (ψ update), one row per receiving slot write.
 
-        The whole batch is applied with vectorised array ops — no per-mail
-        Python loop, except the ``reservoir`` policy's duplicate-node
-        fallback, whose draws depend on the running delivered counter.
-        ``nodes`` may contain duplicates
-        (callers usually reduce multiple mails per node with ρ first, see
-        :class:`repro.core.propagator.MailPropagator`); duplicates are
-        resolved exactly as sequential in-order delivery would resolve them,
-        which the duplicate-delivery property tests assert.
+        Vectorised (except the ``reservoir`` policy's duplicate-node loop).
+        ``nodes`` may repeat (ρ usually reduces them first); duplicates are
+        resolved exactly as sequential in-order delivery would.
         """
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         mails = np.asarray(mails, dtype=np.float64)
         timestamps = np.asarray(timestamps, dtype=np.float64).reshape(-1)
         if mails.shape != (len(nodes), self.mail_dim):
-            raise ValueError(
-                f"mails must have shape ({len(nodes)}, {self.mail_dim}), got {mails.shape}"
-            )
+            raise ValueError(f"mails must have shape ({len(nodes)}, "
+                             f"{self.mail_dim}), got {mails.shape}")
         if len(timestamps) != len(nodes):
             raise ValueError("timestamps must align with nodes")
         if len(nodes) == 0:
@@ -224,12 +152,8 @@ class Mailbox:
 
     @staticmethod
     def _occurrence_offsets(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element occurrence index within its node group, plus group sizes.
-
-        ``offsets[i]`` is how many earlier elements of ``nodes`` hold the same
-        node id (so sequential semantics survive vectorisation), and
-        ``group_counts[i]`` is the total number of occurrences of ``nodes[i]``.
-        """
+        """``offsets[i]``: earlier elements of ``nodes`` equal to ``nodes[i]``;
+        ``group_counts[i]``: all occurrences of ``nodes[i]``."""
         order = np.argsort(nodes, kind="stable")
         sorted_nodes = nodes[order]
         boundaries = np.empty(len(nodes), dtype=bool)
@@ -255,11 +179,9 @@ class Mailbox:
             self._next_slot[nodes] = (slots + 1) % self.num_slots
             self._delivered[nodes] += 1
             return
-        # Duplicate nodes: occurrence j of a node lands in slot
-        # (next_slot + j) % num_slots, exactly as sequential delivery would.
-        # Writes that a later occurrence of the same slot would overwrite are
-        # dropped up front (only the last num_slots occurrences per node can
-        # survive the ring buffer), so one fancy assignment suffices.
+        # Duplicates: occurrence j lands in slot (next_slot + j) % num_slots,
+        # as sequential delivery would; only the last num_slots occurrences
+        # per node survive the ring, so one fancy assignment suffices.
         offsets, group_counts = self._occurrence_offsets(nodes)
         slots = (self._next_slot[nodes] + offsets) % self.num_slots
         survives = offsets >= group_counts - self.num_slots
@@ -285,12 +207,9 @@ class Mailbox:
     def _deliver_reservoir(self, nodes, mails, timestamps) -> None:
         """Ablation policy: reservoir sampling keeps a uniform sample of history.
 
-        The common case (every node appears once — the propagator reduces
-        duplicates with ρ before delivering) is fully vectorised: the
-        still-filling nodes take slot ``delivered`` directly, and the full
-        ones draw their candidate slots in one array call.  Duplicate nodes
-        fall back to the sequential loop, whose draws depend on the running
-        ``delivered`` counter.
+        Distinct nodes (the common case after ρ) draw their slots in one
+        array call; duplicates take the sequential loop, whose draws depend
+        on the running ``delivered`` counter.
         """
         unique = len(np.unique(nodes)) == len(nodes)
         if unique:
@@ -329,20 +248,16 @@ class Mailbox:
     # ------------------------------------------------------------------ #
     def read(self, nodes: np.ndarray,
              sort_by_time: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read the mailboxes of ``nodes``.
+        """``(mails, timestamps, valid)`` of ``nodes``, private copies.
 
-        Returns ``(mails, timestamps, valid)`` with shapes
-        ``(len(nodes), num_slots, mail_dim)``, ``(len(nodes), num_slots)`` and
-        ``(len(nodes), num_slots)``.  When ``sort_by_time`` is True, each
-        node's slots are ordered oldest-to-newest regardless of physical slot
-        position (invalid slots are pushed to the end).
+        With ``sort_by_time`` each node's slots run oldest to newest whatever
+        their physical position, invalid slots last.
         """
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
             raise IndexError("node id out of range")
-        # A fancy gather already returns a copy: every array is private to
-        # the caller, so a worker delivering into shared state cannot
-        # overwrite it.
+        # A fancy gather copies, so a worker delivering into shared state
+        # cannot overwrite what the caller holds.
         mails = self.mails[nodes]
         times = self.mail_times[nodes]
         valid = self.valid[nodes]
@@ -358,123 +273,68 @@ class Mailbox:
                     sort_by_time: bool = True) -> MailboxGather:
         """Deduplicate several node-id arrays and read each mailbox once.
 
-        This is the storage half of the batched encoder path: the caller
-        passes every group of nodes it needs embeddings for (for one event
-        batch that is sources, destinations, and — during training — sampled
-        negatives), and gets back one dense ``(U, num_slots, mail_dim)``
-        mailbox stack over the ``U`` *distinct* nodes, plus the ``inverse``
-        map that scatters the encoded rows back to the concatenated query
-        order.  Encoding each distinct node exactly once is both cheaper and
-        required for consistency (paper §3.2: a node appearing several times
-        in a batch shares one embedding).
+        The storage half of the batched encoder path: one stack over the
+        distinct nodes of every group (sources, destinations, negatives),
+        and the ``inverse`` map back to the concatenated query order.  A
+        node appearing several times in a batch shares one embedding
+        (paper §3.2).
         """
         if not node_groups:
             raise ValueError("gather_many requires at least one node group")
-        flat = np.concatenate(
-            [np.asarray(group, dtype=np.int64).reshape(-1) for group in node_groups]
-        )
+        flat = np.concatenate([np.asarray(group, dtype=np.int64).reshape(-1)
+                               for group in node_groups])
         nodes, inverse = np.unique(flat, return_inverse=True)
         mails, times, valid = self.read(nodes, sort_by_time=sort_by_time)
         return MailboxGather(nodes=nodes, inverse=inverse.reshape(-1),
                              mails=mails, times=times, valid=valid)
 
     # ------------------------------------------------------------------ #
-    # Shared-memory views (the multi-process serving runtime's key-value
-    # store: scorer and propagation workers map the same physical arrays).
+    # Shared memory: the serving runtime's key-value store (scorer and
+    # propagation workers map the same physical arrays).
     # ------------------------------------------------------------------ #
     @property
     def is_shared(self) -> bool:
-        """True when the state arrays live in ``multiprocessing.shared_memory``."""
-        return bool(getattr(self, "_shm_segments", None))
+        """True while the state arrays live in shared-memory segments."""
+        return self._bundle is not None
 
-    def share_memory(self) -> SharedMailboxHandle:
-        """Move the state arrays into shared-memory segments; return a handle.
+    def share_memory(self) -> MailboxHandle:
+        """Move the state arrays into shared memory; return the attach handle.
 
-        The mailbox keeps working exactly as before (same arrays, same
-        semantics) but its storage now lives in OS shared memory, so worker
-        processes can :meth:`attach` to it and deliver mail that this process
-        observes without any copying.  The calling process owns the segments:
-        call :meth:`release_shared` (or let :class:`ServingRuntime` do it)
-        to copy the state back to private memory and unlink the segments.
-        """
+        Workers can then :meth:`attach` and deliver mail this process reads
+        without copying; this process owns the segments until
+        :meth:`release_shared`.  A failed share leaks nothing."""
         if self.is_shared:
             raise RuntimeError("mailbox state is already in shared memory")
-        segments: dict[str, shared_memory.SharedMemory] = {}
-        segment_names: dict[str, str] = {}
-        try:
-            for name, (shape, dtype) in _shared_array_specs(
-                    self.num_nodes, self.num_slots, self.mail_dim).items():
-                current = getattr(self, name)
-                segment = shared_memory.SharedMemory(create=True, size=current.nbytes)
-                segments[name] = segment
-                view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-                view[:] = current
-                setattr(self, name, view)
-                segment_names[name] = segment.name
-        except Exception:
-            # A partial failure (e.g. shm exhaustion) must not leak the
-            # segments already created: copy the state back to private
-            # arrays, then close + unlink everything.
-            for name, segment in segments.items():
-                view = getattr(self, name)
-                if isinstance(view, np.ndarray) and view.base is not None:
-                    setattr(self, name, np.array(view))
-                del view
-                segment.close()
-                segment.unlink()
-            raise
-        self._shm_segments = segments
-        # Safety net: if this process exits (or the mailbox is dropped)
-        # without release_shared(), unlink the segments rather than leaking
-        # them past the process's lifetime.
-        self._shm_finalizer = weakref.finalize(
-            self, _unlink_leaked_segments, segments)
-        return SharedMailboxHandle(
-            num_nodes=self.num_nodes, num_slots=self.num_slots,
-            mail_dim=self.mail_dim, update_policy=self.update_policy,
-            seed=None, segments=segment_names,
-        )
+        bundle = SharedArrayBundle.create({
+            key: (getattr(self, attribute).shape, getattr(self, attribute).dtype)
+            for key, attribute in self.STATE})
+        for key, attribute in self.STATE:
+            bundle[key][:] = getattr(self, attribute)
+            setattr(self, attribute, bundle[key])
+        self._bundle, self._owner = bundle, True
+        return MailboxHandle(bundle.handle(), self.update_policy)
 
     @classmethod
-    def attach(cls, handle: SharedMailboxHandle) -> "Mailbox":
-        """Map an existing shared-memory mailbox (worker-process side).
-
-        The returned mailbox reads and writes the *same* physical arrays as
-        the process that called :meth:`share_memory`.  The attaching process
-        does not own the segments (see :func:`_open_shared_segment`), and its
-        :meth:`release_shared` merely unmaps.
-        """
-        mailbox = cls(handle.num_nodes, handle.num_slots, handle.mail_dim,
-                      update_policy=handle.update_policy, seed=handle.seed)
-        mailbox._shm_segments = {}
-        mailbox._shm_attached = True
-        for name, (shape, dtype) in _shared_array_specs(
-                handle.num_nodes, handle.num_slots, handle.mail_dim).items():
-            segment = _open_shared_segment(handle.segments[name])
-            setattr(mailbox, name, np.ndarray(shape, dtype=dtype, buffer=segment.buf))
-            mailbox._shm_segments[name] = segment
+    def attach(cls, handle: MailboxHandle) -> "Mailbox":
+        """Map a shared mailbox (worker side): same physical arrays as the
+        owner's, and a :meth:`release_shared` that only unmaps."""
+        bundle = SharedArrayBundle.attach(handle.bundle)
+        mailbox = cls(*bundle["mails"].shape, update_policy=handle.update_policy)
+        for key, attribute in cls.STATE:
+            setattr(mailbox, attribute, bundle[key])
+        mailbox._bundle = bundle
         return mailbox
 
     def release_shared(self) -> None:
-        """Detach from shared memory, copying state back into private arrays.
-
-        In the owning process (the one that called :meth:`share_memory`) this
-        also unlinks the segments, so the mailbox survives with its final
-        state in ordinary memory and no shared-memory files leak.  In an
-        attached process it only unmaps.  No-op for a non-shared mailbox.
-        """
-        if not self.is_shared:
+        """Leave shared memory (no-op for a private mailbox).  The owner keeps
+        its state in private arrays and unlinks the segments; an attached
+        mailbox unmaps without copying and drops its arrays."""
+        if self._bundle is None:
             return
-        attached = getattr(self, "_shm_attached", False)
-        segments = self._shm_segments
-        for name, segment in segments.items():
-            setattr(self, name, np.array(getattr(self, name)))
-            segment.close()
-            if not attached:
-                segment.unlink()
-        segments.clear()
-        self._shm_segments = {}
-        finalizer = getattr(self, "_shm_finalizer", None)
-        if finalizer is not None:
-            finalizer.detach()
-            self._shm_finalizer = None
+        bundle, self._bundle = self._bundle, None
+        for _, attribute in self.STATE:
+            setattr(self, attribute, None)  # the bundle's views are the last
+        bundle.release(keep=self._owner)
+        if self._owner:
+            for key, attribute in self.STATE:
+                setattr(self, attribute, bundle[key])

@@ -69,7 +69,6 @@ class APAN(TemporalEmbeddingModel):
             hidden_dim=config.mlp_hidden_dim,
             dropout=config.dropout,
             positional_encoding=config.positional_encoding,
-            engine=config.encoder_engine,
             rng=rng,
         )
         self.link_decoder = LinkPredictionDecoder(
@@ -106,21 +105,13 @@ class APAN(TemporalEmbeddingModel):
         return {
             "node_state": self.node_state.copy(),
             "last_update": self.last_update.copy(),
-            "mailbox_mails": self.mailbox.mails.copy(),
-            "mailbox_times": self.mailbox.mail_times.copy(),
-            "mailbox_valid": self.mailbox.valid.copy(),
-            "mailbox_next_slot": self.mailbox._next_slot.copy(),
-            "mailbox_delivered": self.mailbox._delivered.copy(),
+            **self.mailbox.snapshot(prefix="mailbox_"),
         }
 
     def restore_state(self, snapshot: dict[str, np.ndarray]) -> None:
         self.node_state[:] = snapshot["node_state"]
         self.last_update[:] = snapshot["last_update"]
-        self.mailbox.mails[:] = snapshot["mailbox_mails"]
-        self.mailbox.mail_times[:] = snapshot["mailbox_times"]
-        self.mailbox.valid[:] = snapshot["mailbox_valid"]
-        self.mailbox._next_slot[:] = snapshot["mailbox_next_slot"]
-        self.mailbox._delivered[:] = snapshot["mailbox_delivered"]
+        self.mailbox.restore(snapshot, prefix="mailbox_")
 
     # ------------------------------------------------------------------ #
     # Synchronous inference path

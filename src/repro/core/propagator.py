@@ -20,26 +20,19 @@ batch's events are appended *after* propagation — so mails are routed along
 edges that existed strictly before the batch, mirroring the deployed system in
 which the graph database lags the event stream.
 
-Engines
--------
-Two interchangeable routing engines implement step 2/3:
+Routing (steps 2–3) expands whole frontiers per hop with array ops
+(:meth:`~repro.graph.neighbor_sampler.TemporalNeighborSampler.sample_many`,
+then one stable argsort per hop that keeps each ``(event, node)`` key's first
+occurrence) and never loops over events.  ρ (:meth:`MailPropagator._reduce`)
+is one sort of the receivers, segment maxima over that order, and a
+``np.bincount`` mean that accumulates in receiver-list order.
 
-* ``engine="reference"`` (:class:`ReferencePropagator`) — the per-event,
-  per-neighbor Python loop that follows the paper's pseudocode literally.
-  Slow, but easy to audit; it defines the semantics.
-* ``engine="vectorized"`` (:class:`VectorizedPropagator`, the default) —
-  expands whole frontiers per hop with array ops
-  (:meth:`~repro.graph.neighbor_sampler.TemporalNeighborSampler.sample_many`,
-  then one stable argsort per hop that keeps each ``(event, node)`` key's
-  first occurrence) and never loops over events.  Because the samplers run
-  in stateless mode (per-query derived RNGs), both engines produce
-  *identical* mailbox contents for every φ/ρ/ψ/sampling combination — the
-  equivalence test suite in ``tests/core/test_propagation_equivalence.py``
-  asserts this byte for byte.
-
-Both engines share ρ (:meth:`MailPropagator._reduce`): one sort of the
-receivers, segment maxima over that order, and a ``np.bincount`` mean that
-accumulates in receiver-list order.
+The paper's per-event, per-neighbour pseudocode is kept as a test oracle
+(``tests/_engine_oracles.py``): the equivalence suites inject it in place of
+:meth:`MailPropagator._route_mails` and assert byte-equal mailboxes for
+every φ/ρ/ψ/sampling combination.  They can, because the samplers run
+stateless (per-query derived RNGs): a neighbourhood is a pure function of
+``(node, time, seed)``, not of the order queries are issued in.
 """
 
 from __future__ import annotations
@@ -51,17 +44,11 @@ from ..graph.neighbor_sampler import make_sampler
 from ..graph.temporal_graph import TemporalGraph
 from .mailbox import Mailbox
 
-__all__ = [
-    "MailPropagator",
-    "ReferencePropagator",
-    "VectorizedPropagator",
-    "PropagationReport",
-]
+__all__ = ["MailPropagator", "PropagationReport"]
 
 _PHI_CHOICES = ("sum", "concat_project")
 _RHO_CHOICES = ("mean", "last", "max")
 _F_CHOICES = ("identity", "time_decay")
-_ENGINE_CHOICES = ("reference", "vectorized")
 
 
 def _run_heads(sorted_values: np.ndarray) -> np.ndarray:
@@ -92,8 +79,7 @@ class MailPropagator:
                  num_hops: int = 2, num_neighbors: int = 10,
                  sampling: str = "recent", phi: str = "sum", rho: str = "mean",
                  mail_passing: str = "identity", time_decay: float = 1e-6,
-                 seed: int | None = None, engine: str = "vectorized",
-                 graph=None):
+                 seed: int | None = None, graph=None):
         if num_hops < 1:
             raise ValueError("num_hops must be at least 1")
         if phi not in _PHI_CHOICES:
@@ -102,8 +88,6 @@ class MailPropagator:
             raise ValueError(f"rho must be one of {_RHO_CHOICES}")
         if mail_passing not in _F_CHOICES:
             raise ValueError(f"mail_passing must be one of {_F_CHOICES}")
-        if engine not in _ENGINE_CHOICES:
-            raise ValueError(f"engine must be one of {_ENGINE_CHOICES}")
         self.mailbox = mailbox
         self.num_nodes = num_nodes
         self.edge_feature_dim = edge_feature_dim
@@ -114,7 +98,10 @@ class MailPropagator:
         self.rho = rho
         self.mail_passing = mail_passing
         self.time_decay = time_decay
-        self.engine = engine
+        # Draw entropy for seed=None once, here: a worker rebuilding this
+        # propagator from its spec must sample and project like it does.
+        if seed is None:
+            seed = int(np.random.SeedSequence().entropy)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         # Event store used for neighbour lookups.  By default the propagator
@@ -141,8 +128,7 @@ class MailPropagator:
 
     def _make_sampler(self):
         # Stateless sampling makes each neighbourhood a pure function of
-        # (node, time), so the reference and vectorized engines agree exactly
-        # even though they issue the queries in different orders.
+        # (node, time, seed), whatever order the queries come in.
         return make_sampler(self.sampling, self.graph,
                             num_neighbors=self.num_neighbors, seed=self._seed,
                             stateless=True)
@@ -220,78 +206,22 @@ class MailPropagator:
         self._ingest_events(batch)
 
     # ------------------------------------------------------------------ #
-    # Routing — engine dispatch
+    # Routing
     # ------------------------------------------------------------------ #
     def _route_mails(self, batch: EventBatch, mails: np.ndarray):
-        if self.engine == "reference":
-            return self._route_mails_reference(batch, mails)
-        return self._route_mails_vectorized(batch, mails)
-
-    def _route_mails_reference(self, batch: EventBatch, mails: np.ndarray):
-        """Per-event routing loop: the paper's pseudocode, kept as the oracle.
-
-        For every event, the two interacting nodes receive the mail (hop 0);
-        then each hop samples the temporal neighbours of the previous
-        frontier, skipping nodes already reached by this event's mail.
-        """
-        receivers: list[int] = []
-        receiver_mails: list[np.ndarray] = []
-        receiver_times: list[float] = []
-        hop_sizes = [0] * self.num_hops
-
-        for index in range(len(batch)):
-            mail = mails[index]
-            timestamp = float(batch.timestamps[index])
-            endpoints = (int(batch.src[index]), int(batch.dst[index]))
-            # Hop 0: the two interacting nodes always receive the mail.
-            for node in endpoints:
-                receivers.append(node)
-                receiver_mails.append(mail)
-                receiver_times.append(timestamp)
-            # Hops 1..k-1: temporal neighbours reached along historical edges.
-            frontier = list(endpoints)
-            seen = set(endpoints)
-            for hop in range(1, self.num_hops):
-                next_frontier: list[int] = []
-                for node in frontier:
-                    sample = self._sampler.sample(node, timestamp)
-                    for neighbor, valid in zip(sample.neighbors, sample.mask):
-                        if not valid:
-                            continue
-                        neighbor = int(neighbor)
-                        if neighbor in seen:
-                            continue
-                        seen.add(neighbor)
-                        next_frontier.append(neighbor)
-                        receivers.append(neighbor)
-                        receiver_mails.append(self._pass_mail(mail, hop, timestamp))
-                        receiver_times.append(timestamp)
-                        hop_sizes[hop] += 1
-                frontier = next_frontier
-                if not frontier:
-                    break
-            hop_sizes[0] += len(endpoints)
-
-        if not receivers:
-            return (np.empty(0, dtype=np.int64), np.zeros((0, self.mailbox.mail_dim)),
-                    np.empty(0), hop_sizes)
-        return (np.asarray(receivers, dtype=np.int64), np.stack(receiver_mails),
-                np.asarray(receiver_times), hop_sizes)
-
-    def _route_mails_vectorized(self, batch: EventBatch, mails: np.ndarray):
         """Whole-frontier routing with array ops; no per-event Python loop.
 
         Each hop expands the entire batch frontier with one ``sample_many``
-        call and flattens the candidates in the order the reference loop
-        visits them.  Per-event de-duplication ("a node receives each event's
-        mail at most once") works on ``event * num_nodes + node`` keys: one
+        call and flattens the candidates in the order the paper's per-event
+        loop visits them.  Per-event de-duplication ("a node receives each
+        event's mail at most once") works on ``event * num_nodes + node`` keys: one
         stable argsort of the keys already reached followed by the hop's
         candidate keys puts every key's earliest occurrence first in its run,
         so a candidate survives exactly when no earlier receiver of its event
         and no earlier candidate holds its key.  The receiver list is finally
-        re-sorted to the reference engine's (event, hop, discovery) order, so
-        the downstream ρ reduction accumulates in the same order and both
-        engines agree to the last bit.
+        re-sorted to the per-event loop's (event, hop, discovery) order, so
+        the downstream ρ reduction accumulates in the same order and the
+        result equals that loop's to the last bit.
         """
         hop_sizes = [0] * self.num_hops
         num_events = len(batch)
@@ -322,7 +252,7 @@ class MailPropagator:
             sample = self._sampler.sample_many(frontier_nodes,
                                                timestamps[frontier_events])
             # Flatten row-major: frontier order, then slot order — the exact
-            # order the reference loop visits candidates within each event.
+            # order the per-event loop visits candidates within each event.
             flat_valid = sample.mask.ravel()
             flat_events = np.repeat(frontier_events, self.num_neighbors)[flat_valid]
             flat_nodes = sample.neighbors.ravel()[flat_valid]
@@ -347,7 +277,7 @@ class MailPropagator:
         events = np.concatenate(event_blocks)
         receivers = np.concatenate(node_blocks)
         hops = np.concatenate(decay_blocks)
-        # Stable sort by event restores the reference (event, hop, discovery)
+        # Stable sort by event restores the per-event (event, hop, discovery)
         # order: within one event the blocks already appear hop-by-hop.
         order = np.argsort(events, kind="stable")
         events, receivers, hops = events[order], receivers[order], hops[order]
@@ -357,13 +287,6 @@ class MailPropagator:
             receiver_mails = receiver_mails * np.exp(-self.time_decay * hops)[:, None]
         receiver_times = timestamps[events]
         return receivers, receiver_mails, receiver_times, hop_sizes
-
-    def _pass_mail(self, mail: np.ndarray, hop: int, timestamp: float) -> np.ndarray:
-        """f — how a mail attenuates as it travels (identity in the paper)."""
-        if self.mail_passing == "identity":
-            return mail
-        # time_decay: attenuate by hop count (a simple stand-in for distance decay).
-        return mail * float(np.exp(-self.time_decay * hop))
 
     def _reduce(self, receivers: np.ndarray, mails: np.ndarray, times: np.ndarray):
         """ρ — reduce multiple mails per receiver to a single mail."""
@@ -410,18 +333,3 @@ class MailPropagator:
         self.graph.add_interactions(batch.src, batch.dst, batch.timestamps,
                                     batch.edge_features, batch.labels)
 
-
-class ReferencePropagator(MailPropagator):
-    """The per-event oracle engine (``engine="reference"``)."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs["engine"] = "reference"
-        super().__init__(*args, **kwargs)
-
-
-class VectorizedPropagator(MailPropagator):
-    """The batch array engine (``engine="vectorized"``)."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs["engine"] = "vectorized"
-        super().__init__(*args, **kwargs)

@@ -9,21 +9,22 @@ implemented as well because (a) the TGAT baseline uses uniform sampling and
 Two query shapes are supported:
 
 * :meth:`TemporalNeighborSampler.sample` — one ``(node, time)`` pair, the
-  per-event path used by the reference propagation engine and the baselines;
+  per-event path used by the baselines and the propagation test oracle;
 * :meth:`TemporalNeighborSampler.sample_many` — a whole frontier of
   ``(node, time)`` pairs at once, returning dense ``(N, num_neighbors)``
   arrays computed against the graph's adjacency index (per-node chronological
-  segments) with a batched binary search.  This is the hot path of the
-  vectorized propagation engine.
+  segments) with a batched binary search.  This is the hot path of mail
+  propagation.
 
 Randomised strategies (uniform / time-weighted) support two RNG modes.  The
 default *stateful* mode draws from one shared generator, so repeated calls
 with the same arguments explore different samples.  The *stateless* mode
 (``stateless=True``) derives an independent generator from
 ``(seed, node, time)`` for every query, which makes each sample a pure
-function of its inputs — this is what lets the reference and vectorized
-propagation engines produce bit-identical neighbourhoods regardless of the
-order in which they issue the queries.
+function of its inputs — this is what lets the propagator and its
+per-event test oracle produce bit-identical neighbourhoods regardless of the
+order in which they issue the queries, and a serving worker sample exactly
+like the scorer's propagator.
 """
 
 from __future__ import annotations

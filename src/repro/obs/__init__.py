@@ -3,8 +3,8 @@
 This package is the self-observability substrate of the serving pipeline
 (Cambridge-report style "built-in telemetry"): counters / gauges / histograms
 that propagation workers publish through fixed-layout
-``multiprocessing.shared_memory`` segments (the same share/attach idiom as
-:meth:`repro.core.mailbox.Mailbox.share_memory`), span tracing with
+``multiprocessing.shared_memory`` segments (``obs._shm.SharedArrayBundle``,
+which the shared mailbox is built on too), span tracing with
 per-process ring buffers, and a Chrome trace-event JSON exporter
 (``make trace`` → load in ``chrome://tracing`` / Perfetto).
 

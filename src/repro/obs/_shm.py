@@ -1,21 +1,22 @@
 """Named bundles of NumPy arrays in ``multiprocessing.shared_memory``.
 
-This is the same share/attach/release idiom as
-:meth:`repro.core.mailbox.Mailbox.share_memory`, factored into a reusable
-primitive for telemetry state (``repro.obs`` must not import ``repro.core`` —
-observability sits below every other subsystem).  One process *creates* the
-bundle (and owns the segments: its release unlinks them), any number of
-processes *attach* to the same physical pages through a picklable handle —
-or, for a bundle created under a name ``prefix``, through the handle
-:func:`named_handle` rebuilds from the prefix and the specs alone, so a
-process can find a bundle created after it started without being sent one.
+The one shared-memory lifecycle of the package: telemetry state, the
+serving runtime's hand-off ring and the shared
+:class:`repro.core.mailbox.Mailbox` all live in these bundles (``repro.obs``
+imports nothing of the package — observability sits below every other
+subsystem).  One process *creates* the bundle (and owns the segments: its
+release unlinks them), any number of processes *attach* to the same
+physical pages through a picklable handle — or, for a bundle created under
+a name ``prefix``, through the handle :func:`named_handle` rebuilds from the
+prefix and the specs alone, so a process can find a bundle created after it
+started without being sent one.
 
 The owner-side lifecycle is leak-proof by construction: a partial failure
 during ``create`` unwinds the segments already allocated, ``release`` copies
 the data back into private memory before unlinking (so the arrays stay
 readable after the shared segments are gone), and a ``weakref.finalize``
-safety net unlinks anything the owner never released — the same guarantees
-the PR 7 ``/dev/shm`` leak regression suite pins for the mailbox.
+safety net unlinks anything the owner never released — the guarantees the
+``/dev/shm`` leak regression tests pin for the mailbox and the runtime.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ def named_handle(prefix: str, specs: dict) -> BundleHandle:
 def _open_existing_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a segment without registering it for resource-tracker cleanup.
 
-    Same workaround as :func:`repro.core.mailbox._open_shared_segment`: before
-    Python 3.13 every ``SharedMemory`` constructor registers with the
-    ``resource_tracker``, which would let an attaching worker's exit unlink
-    the owner's live segments.
+    Before Python 3.13 (``track=False``) every ``SharedMemory`` constructor
+    registers with the ``resource_tracker``, which would let an attaching
+    worker's exit unlink the owner's live segments (spawn) or unbalance the
+    shared tracker (fork); suppressing registration during attach is the
+    standard pre-3.13 workaround.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)

@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.mailbox import Mailbox, SharedMailboxHandle
+from ..core.mailbox import Mailbox, MailboxHandle
 from ..core.propagator import MailPropagator
 from ..graph.batching import EventBatch
 from ..obs import NULL_TELEMETRY, Telemetry, TelemetrySpec
@@ -194,8 +194,9 @@ class PropagatorSpec:
     mailbox and an unpicklable RNG lineage); instead each worker rebuilds one
     from this spec, attached to the shared mailbox and routing against the
     shared event store.  Because the samplers run stateless (pure functions
-    of node, time and seed), every rebuilt propagator routes mail exactly
-    like the original.
+    of node, time and seed) and a propagator resolves ``seed=None`` to
+    concrete entropy when it is built, every rebuilt propagator routes and
+    projects mail exactly like the original.
     """
 
     num_nodes: int
@@ -216,7 +217,6 @@ class PropagatorSpec:
                 "mail_passing": propagator.mail_passing,
                 "time_decay": propagator.time_decay,
                 "seed": propagator._seed,
-                "engine": propagator.engine,
             },
         )
 
@@ -294,7 +294,7 @@ class _WorkerSetup:
     """Static, picklable part of a worker's configuration."""
 
     worker_id: int
-    mailbox_handle: SharedMailboxHandle
+    mailbox_handle: MailboxHandle
     store_handle: EventStoreHandle
     ring_handle: BundleHandle
     slab_prefix: str  # names every generation's embedding arrays (_slabs)

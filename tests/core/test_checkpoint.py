@@ -41,6 +41,31 @@ class TestCheckpoint:
         np.testing.assert_allclose(actual, expected)
         np.testing.assert_array_equal(restored.mailbox.valid, model.mailbox.valid)
 
+    def test_checkpoint_format_is_pinned(self, tmp_path, event_batch_factory):
+        """The exact keys a checkpoint holds: renaming one would stop older
+        checkpoints from loading.  The mailbox round trip is byte-equal."""
+        model = make_model(seed=0)
+        warm_up(model, event_batch_factory)
+        path = save_checkpoint(model, tmp_path / "ckpt.npz")
+        with np.load(path) as stored:
+            keys = set(stored.files)
+        assert {key for key in keys if not key.startswith("param::")} == {
+            "state::node_state", "state::last_update", "state::mailbox_mails",
+            "state::mailbox_times", "state::mailbox_valid",
+            "state::mailbox_next_slot", "state::mailbox_delivered"}
+        assert {key for key in keys if key.startswith("param::")} == {
+            "param::" + key for key in model.state_dict()}
+
+        restored = make_model(seed=9)
+        load_checkpoint(restored, path)
+        for attribute in ("mails", "mail_times", "valid", "_next_slot",
+                          "_delivered"):
+            saved = getattr(model.mailbox, attribute)
+            loaded = getattr(restored.mailbox, attribute)
+            assert loaded.dtype == saved.dtype
+            assert loaded.tobytes() == saved.tobytes()
+        assert model.mailbox._delivered.sum() > 0
+
     def test_checkpoint_without_metadata(self, tmp_path, event_batch_factory):
         model = make_model()
         warm_up(model, event_batch_factory)

@@ -177,9 +177,20 @@ class TestAPANConfig:
         assert changed.batch_size == 500 and changed.num_hops == 1
         assert base.batch_size == 200
 
+    @pytest.mark.parametrize("removed", ["propagation_engine",
+                                         "encoder_engine", "extra"])
+    def test_replace_changes_one_field_and_rejects_removed_ones(self, removed):
+        base = APANConfig()
+        changed = base.replace(dropout=0.25)
+        assert changed.dropout == 0.25 and base.dropout == pytest.approx(0.1)
+        assert changed == APANConfig(dropout=0.25)
+        with pytest.raises(TypeError):
+            base.replace(**{removed: "reference"})
+        with pytest.raises(TypeError):
+            APANConfig(**{removed: "reference"})
+        assert base == APANConfig()
+
     def test_as_dict_roundtrip(self):
         config = APANConfig(num_mailbox_slots=7)
-        values = config.as_dict()
-        values.pop("extra")
-        rebuilt = APANConfig(**values)
-        assert rebuilt.num_mailbox_slots == 7
+        rebuilt = APANConfig(**config.as_dict())
+        assert rebuilt == config and rebuilt.num_mailbox_slots == 7

@@ -1,13 +1,14 @@
-"""Reference vs. vectorized encoder engine equivalence.
+"""Encoder equivalence: the batched ``encode_many`` vs. the per-node oracle.
 
-The vectorized encoder engine exists to make the inference/training hot path
-fast; the reference engine (a per-node Python loop over the same module
-stack) exists so these tests can prove the fast path computes *the same
-thing*.  Both engines share one parameter set, so with dropout inactive their
-outputs, attention weights and parameter gradients must agree to within
-``ATOL`` across positional-encoding modes, ragged batch sizes and
-empty-mailbox rows.  ``Mailbox.gather_many`` — the storage half of the
-batched path — is covered here too, and so is the ndarray-only inference
+The batched encoder exists to make the inference/training hot path fast; the
+per-node oracle (a Python loop over the same module stack, kept in
+``tests/_engine_oracles.py`` and injected with ``use_reference_encoder``)
+exists so these tests can prove the fast path computes *the same thing*.
+Both share one parameter set, so with dropout inactive their outputs,
+attention weights and parameter gradients must agree to within ``ATOL``
+across positional-encoding modes, ragged batch sizes and empty-mailbox rows.
+``Mailbox.gather_many`` — the storage half of the batched path — is covered
+here too, and so is the ndarray-only inference
 forward that ``no_grad()`` serving takes (``TestInferenceForward``: bit-equal
 to the ``Tensor`` forward, and never taken when that forward is needed).
 
@@ -18,6 +19,7 @@ to the ``Tensor`` forward, and never taken when that forward is needed).
 import numpy as np
 import pytest
 
+from _engine_oracles import use_reference_encoder
 from repro.core.config import APANConfig
 from repro.core.decoder import LinkPredictionDecoder
 from repro.core.encoder import APANEncoder
@@ -34,14 +36,15 @@ BATCH_SIZES = (1, 3, 37, 200)
 
 def make_encoder(engine, positional="learned", dim=8, slots=5, dropout=0.0,
                  seed=0):
-    """An encoder with deterministic parameters shared across engines."""
+    """An encoder with deterministic parameters shared across engines;
+    ``engine="reference"`` encodes through the per-node oracle."""
     encoder = APANEncoder(
         embedding_dim=dim, num_slots=slots, num_heads=2, hidden_dim=16,
-        dropout=dropout, positional_encoding=positional, engine=engine,
+        dropout=dropout, positional_encoding=positional,
         rng=np.random.default_rng(seed),
     )
     encoder.eval()
-    return encoder
+    return use_reference_encoder(encoder) if engine == "reference" else encoder
 
 
 def make_inputs(batch, slots=5, dim=8, seed=0, empty_rows=(), ragged=False):
@@ -129,7 +132,7 @@ class TestInferenceForward:
         with no_grad():
             fast = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
             fast_attention = encoder.last_attention_weights
-            slow = encoder._encode_vectorized(Tensor(z), mails, times, valid, 100.0)
+            slow = encoder._encode_tensor(Tensor(z), mails, times, valid, 100.0)
             slow_attention = encoder.last_attention_weights
         assert isinstance(fast, Tensor) and not fast.requires_grad
         return fast.data, fast_attention, slow.data, slow_attention
@@ -197,7 +200,7 @@ class TestInferenceForward:
                 assert np.array_equal(fast.data, slow.data)
 
     def test_grad_enabled_takes_tensor_path(self, tensor_path_only):
-        """Gradients are those of the vectorized engine, unchanged."""
+        """Gradients are those of the Tensor forward, unchanged."""
         z, mails, times, valid = make_inputs(9, seed=5, ragged=True)
         encoder = make_encoder("vectorized", seed=3)
         out = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
@@ -227,13 +230,11 @@ class TestInferenceForward:
         assert not np.array_equal(first.data, second.data)  # masks were drawn
 
     def test_reference_engine_takes_tensor_path(self, tensor_path_only):
+        """The oracle is compared against the inference forward, never via it."""
         z, mails, times, valid = make_inputs(4, ragged=True)
         with no_grad():
             make_encoder("reference").encode_many(Tensor(z), mails, times,
                                                   valid, 100.0)
-            make_encoder("vectorized").encode_many(Tensor(z), mails, times,
-                                                   valid, 100.0,
-                                                   engine="reference")
 
     def test_inference_forward_is_actually_taken(self, tensor_path_only):
         """The guard fixture bites: eval + no_grad + learned does dispatch."""
@@ -244,31 +245,14 @@ class TestInferenceForward:
 
 
 class TestEngineWiring:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            make_encoder("fused")
-        encoder = make_encoder("vectorized")
+    def test_no_engine_option(self):
+        """The oracle lives in the tests: no production knob selects it."""
+        with pytest.raises(TypeError):
+            APANEncoder(embedding_dim=8, num_slots=5, engine="reference")
         z, mails, times, valid = make_inputs(2)
-        with pytest.raises(ValueError):
-            encoder.encode_many(Tensor(z), mails, times, valid, 0.0,
-                                engine="fused")
-
-    def test_encode_many_engine_override(self):
-        encoder = make_encoder("vectorized")
-        z, mails, times, valid = make_inputs(5, ragged=True)
-        out_default = encoder.encode_many(Tensor(z), mails, times, valid, 100.0)
-        out_forced = encoder.encode_many(Tensor(z), mails, times, valid, 100.0,
-                                         engine="reference")
-        np.testing.assert_allclose(out_forced.data, out_default.data, atol=ATOL)
-
-    def test_config_selects_engine(self):
-        model = APAN(num_nodes=20, edge_feature_dim=4,
-                     config=APANConfig(encoder_engine="reference"))
-        assert model.encoder.engine == "reference"
-        model = APAN(num_nodes=20, edge_feature_dim=4, config=APANConfig())
-        assert model.encoder.engine == "vectorized"
-        with pytest.raises(ValueError):
-            APANConfig(encoder_engine="fused").validate()
+        with pytest.raises(TypeError):
+            make_encoder("vectorized").encode_many(
+                Tensor(z), mails, times, valid, 0.0, engine="reference")
 
 
 class TestGatherMany:
@@ -316,8 +300,10 @@ class TestModelLevelEquivalence:
         for engine in ("reference", "vectorized"):
             config = APANConfig(num_mailbox_slots=4, num_neighbors=4,
                                 num_hops=2, mlp_hidden_dim=16, dropout=0.0,
-                                seed=0, encoder_engine=engine)
+                                seed=0)
             model = APAN(num_nodes, dim, config)
+            if engine == "reference":
+                use_reference_encoder(model.encoder)
             model.eval()
             collected = []
             for begin in range(0, num_events, batch_size):

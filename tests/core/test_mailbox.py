@@ -173,7 +173,8 @@ def _assert_same_state(got, want):
 
 
 def _segment_paths(handle):
-    return [Path("/dev/shm") / name for name in handle.segments.values()]
+    return [Path("/dev/shm") / name
+            for name, _, _ in handle.bundle.segments.values()]
 
 
 def _deliver_in_child(handle, node, mail_dim):
@@ -234,6 +235,32 @@ class TestSharedMemory:
         assert not any(path.exists() for path in paths)
         assert all(array.base is None for array in _state(box))
         assert box.occupancy(np.array([3]))[0] == 1
+
+    def test_release_unlinks_when_a_segment_cannot_unmap(self, monkeypatch):
+        """Some NumPy versions make ``close`` raise ``BufferError`` while a
+        view is alive; the owner's release still unlinks every segment and
+        keeps the state in private memory."""
+        from multiprocessing import shared_memory
+        box = self.make()
+        box.deliver(np.array([3]), np.ones((1, self.DIM)), np.array([2.0]))
+        handle = box.share_memory()
+        pinned_name, pinned = handle.bundle.segments["mails"][0], []
+        real_close = shared_memory.SharedMemory.close
+
+        def close(segment):
+            if segment.name == pinned_name:
+                pinned.append(segment)
+                raise BufferError("cannot close: exported pointers exist")
+            real_close(segment)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "close", close)
+        box.release_shared()
+        assert pinned and not box.is_shared
+        assert not any(path.exists() for path in _segment_paths(handle))
+        assert all(array.base is None for array in _state(box))
+        assert box.occupancy(np.array([3]))[0] == 1
+        monkeypatch.undo()
+        pinned[0].close()
 
     def test_release_of_private_mailbox_is_noop(self):
         box = self.make()

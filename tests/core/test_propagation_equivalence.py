@@ -1,20 +1,21 @@
-"""Reference vs. vectorized propagation engine equivalence.
+"""Propagation equivalence: the array routing path vs. the per-event oracle.
 
-The vectorized engine exists to make propagation fast; the reference engine
-exists so these tests can prove the fast path computes *the same thing*.  For
-every φ/ρ/ψ/sampling combination, across seeds, batch sizes and hop counts,
-streaming the same events through both engines must leave behind:
+Vectorized routing exists to make propagation fast; the per-event oracle
+(``tests/_engine_oracles.py``, injected with ``use_reference_routing``)
+exists so these tests can prove the fast path computes *the same thing*.
+For every φ/ρ/ψ/sampling combination, across seeds, batch sizes and hop
+counts, streaming the same events through both must leave behind:
 
 * byte-identical mailbox state — mails and mail times compared with
-  ``tobytes()`` (signed zeros included: both engines feed ρ the same receiver
-  list in the same order), valid masks, FIFO ``_next_slot`` cursors and
+  ``tobytes()`` (signed zeros included: both feed ρ the same receiver list
+  in the same order), valid masks, FIFO ``_next_slot`` cursors and
   ``_delivered`` counters;
 * identical :class:`PropagationReport` bookkeeping (mail counts, receiver
   counts, per-hop frontier sizes) for every batch.
 
 Randomised sampling strategies agree because the propagator runs its sampler
 in stateless mode (per-query derived RNGs), making each neighbourhood a pure
-function of ``(node, time)`` rather than of engine-internal query order.
+function of ``(node, time)`` rather than of the order queries are issued in.
 """
 
 import itertools
@@ -22,16 +23,15 @@ import itertools
 import numpy as np
 import pytest
 
+from _engine_oracles import use_reference_routing
 from repro.core.mailbox import Mailbox
 from repro.core.model import APAN
 from repro.core.config import APANConfig
-from repro.core.propagator import (
-    MailPropagator,
-    ReferencePropagator,
-    VectorizedPropagator,
-)
-from repro.graph.batching import EventBatch, iterate_batches
+from repro.core.propagator import MailPropagator
+from repro.graph.batching import EventBatch
 from repro.serving.service import ServingLoop
+
+ENGINES = ("reference", "vectorized")
 
 PHI = ("sum", "concat_project")
 RHO = ("mean", "last", "max")
@@ -59,13 +59,19 @@ def make_stream(num_events, num_nodes, dim, seed, batch_size):
     return batches
 
 
+def make_propagator(engine, *args, **kwargs):
+    """A ``MailPropagator``; ``engine="reference"`` routes through the oracle."""
+    propagator = MailPropagator(*args, **kwargs)
+    return use_reference_routing(propagator) if engine == "reference" else propagator
+
+
 def run_engine(engine, batches, num_nodes, dim, *, psi="fifo", seed=0,
                embed_seed=11, **propagator_kwargs):
-    """Stream all batches through one engine; return (mailbox, reports)."""
+    """Stream all batches through one path; return (mailbox, reports)."""
     mailbox = Mailbox(num_nodes, propagator_kwargs.pop("num_slots", 5), dim,
                       update_policy=psi, seed=seed)
-    propagator = MailPropagator(mailbox, num_nodes, dim, engine=engine,
-                                seed=seed, **propagator_kwargs)
+    propagator = make_propagator(engine, mailbox, num_nodes, dim, seed=seed,
+                                 **propagator_kwargs)
     rng = np.random.default_rng(embed_seed)
     reports = []
     for batch in batches:
@@ -160,11 +166,11 @@ class TestEdgeCases:
         assert_mailboxes_match(box_ref, box_vec)
         assert not box_vec.valid[10:].any()
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_negative_event_time_is_not_clamped(self, engine):
         """ρ keeps a receiver's latest mail time even when it is below 0."""
         mailbox = Mailbox(4, 3, 2)
-        propagator = MailPropagator(mailbox, 4, 2, num_hops=1, engine=engine)
+        propagator = make_propagator(engine, mailbox, 4, 2, num_hops=1)
         batch = EventBatch(src=np.array([0]), dst=np.array([1]),
                            timestamps=np.array([-5.0]),
                            edge_features=np.zeros((1, 2)), labels=np.zeros(1),
@@ -179,31 +185,21 @@ class TestEdgeCases:
 
 
 class TestEngineWiring:
-    def test_subclasses_force_engine(self):
-        mailbox = Mailbox(10, 3, 4)
-        assert ReferencePropagator(mailbox, 10, 4).engine == "reference"
-        assert VectorizedPropagator(mailbox, 10, 4).engine == "vectorized"
-        with pytest.raises(ValueError):
-            MailPropagator(mailbox, 10, 4, engine="fused")
-
-    def test_config_selects_engine(self):
-        config = APANConfig(propagation_engine="reference")
-        model = APAN(num_nodes=20, edge_feature_dim=4, config=config)
-        assert model.propagator.engine == "reference"
-        model = APAN(num_nodes=20, edge_feature_dim=4, config=APANConfig())
-        assert model.propagator.engine == "vectorized"
-        with pytest.raises(ValueError):
-            APANConfig(propagation_engine="fused").validate()
+    def test_no_engine_option(self):
+        """The oracle lives in the tests: no production knob selects it."""
+        with pytest.raises(TypeError):
+            MailPropagator(Mailbox(10, 3, 4), 10, 4, engine="reference")
 
     def test_serving_loop_state_matches_across_engines(self, tiny_graph):
         """Streaming through the serving path leaves equivalent mailboxes."""
         reports = {}
         models = {}
-        for engine in ("reference", "vectorized"):
+        for engine in ENGINES:
             config = APANConfig(num_mailbox_slots=4, num_neighbors=4, num_hops=2,
-                                mlp_hidden_dim=16, dropout=0.0, seed=0,
-                                propagation_engine=engine)
+                                mlp_hidden_dim=16, dropout=0.0, seed=0)
             model = APAN(tiny_graph.num_nodes, tiny_graph.edge_feature_dim, config)
+            if engine == "reference":
+                use_reference_routing(model.propagator)
             loop = ServingLoop(model, tiny_graph, batch_size=50)
             reports[engine] = loop.run(max_batches=4)
             models[engine] = model

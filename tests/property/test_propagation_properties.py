@@ -1,13 +1,13 @@
 """Property suite (hypothesis) for k-hop mail routing and the ρ reduction.
 
-Two oracles pin the vectorized engine:
+Two oracles pin the array routing path:
 
-* **Routing** — the reference engine's per-event loop.  Random streams over a
-  handful of nodes make the awkward cases common: self-loop events
-  (``src == dst``), sample rows that repeat a neighbour or lead back to the
-  event's own endpoints, equal and negative timestamps, empty, single-event
-  and many-event batches.  For every hop count in 1..4 and every ρ, both
-  engines must leave byte-identical mailboxes and report identical
+* **Routing** — the per-event loop of ``tests/_engine_oracles.py``.  Random
+  streams over a handful of nodes make the awkward cases common: self-loop
+  events (``src == dst``), sample rows that repeat a neighbour or lead back
+  to the event's own endpoints, equal and negative timestamps, empty,
+  single-event and many-event batches.  For every hop count in 1..4 and every ρ, both
+  paths must leave byte-identical mailboxes and report identical
   ``PropagationReport`` bookkeeping, per-hop sizes included.
 * **ρ** — :func:`scatter_reduce`, the ``np.add.at`` / ``np.maximum.at``
   reduction that :meth:`MailPropagator._reduce` replaced, kept here as a
@@ -23,6 +23,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _engine_oracles import use_reference_routing
 from repro.core.mailbox import Mailbox
 from repro.core.propagator import MailPropagator
 from repro.graph.batching import EventBatch
@@ -84,7 +85,9 @@ def event_streams(draw):
 def stream_through(engine, num_nodes, batches, **kwargs):
     psi = kwargs.pop("psi")
     mailbox = Mailbox(num_nodes, 3, DIM, update_policy=psi, seed=0)
-    propagator = MailPropagator(mailbox, num_nodes, DIM, engine=engine, seed=0, **kwargs)
+    propagator = MailPropagator(mailbox, num_nodes, DIM, seed=0, **kwargs)
+    if engine == "reference":
+        use_reference_routing(propagator)
     rng = np.random.default_rng(5)
     reports = []
     for batch in batches:

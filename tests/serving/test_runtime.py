@@ -66,10 +66,10 @@ def sequential_reference(batches, update_policy="fifo"):
     return mailbox
 
 
-def run_through_runtime(batches, config, update_policy="fifo"):
+def run_through_runtime(batches, config, update_policy="fifo", spec=None):
     mailbox = Mailbox(NUM_NODES, SLOTS, DIM, update_policy=update_policy)
-    spec = PropagatorSpec(NUM_NODES, DIM,
-                          dict(num_hops=2, num_neighbors=5, seed=3))
+    spec = spec or PropagatorSpec(NUM_NODES, DIM,
+                                  dict(num_hops=2, num_neighbors=5, seed=3))
     runtime = ServingRuntime(mailbox, spec, config)
     with runtime:
         for batch, src_emb, dst_emb in batches:
@@ -127,6 +127,22 @@ class TestEquivalence:
             update_policy=update_policy)
         assert_mailboxes_equal(reference, delivered)
         assert backlog_seen <= max_backlog
+
+    @pytest.mark.parametrize("randomised", [dict(sampling="uniform"),
+                                            dict(phi="concat_project")])
+    def test_unseeded_propagator_matches_its_workers(self, randomised):
+        """A propagator built with ``seed=None`` draws its entropy once, so
+        the workers rebuilt from its spec sample and project exactly like it."""
+        batches = make_stream(num_events=1_000, batch_size=100)
+        mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
+        propagator = MailPropagator(mailbox, NUM_NODES, DIM, num_hops=2,
+                                    num_neighbors=5, **randomised)
+        spec = PropagatorSpec.from_propagator(propagator)
+        for batch, src_emb, dst_emb in batches:
+            propagator.propagate(batch, src_emb, dst_emb)
+        delivered, _ = run_through_runtime(
+            batches, RuntimeConfig(num_workers=2, max_backlog=4), spec=spec)
+        assert_mailboxes_equal(mailbox, delivered)
 
     @pytest.mark.skipif("spawn" not in __import__("multiprocessing").get_all_start_methods(),
                         reason="spawn start method unavailable")
@@ -540,7 +556,8 @@ def _shm_segment_names():
 
 
 def _record_bundle_segments(monkeypatch):
-    """Collect the names of every segment the runtime's ring bundles create."""
+    """Collect the names of every segment a ``SharedArrayBundle`` creates:
+    the shared mailbox's, the ring header's and every ring generation's."""
     from repro.serving import runtime as runtime_module
     names = set()
     create = runtime_module.SharedArrayBundle.create.__func__
@@ -581,8 +598,9 @@ class TestSharedStateCleanup:
         with pytest.raises(RuntimeError, match="died during startup"):
             runtime.start()
         assert not mailbox.is_shared
-        # The ring header and its embedding slots existed, and are gone.
-        assert len(ring_segments) == 7
+        # The mailbox's 5 arrays, the ring header and its embedding slots
+        # existed (every one a SharedArrayBundle segment), and are gone.
+        assert len(ring_segments) == 5 + 7
         assert not ring_segments & _shm_segment_names()
         assert _shm_segment_names() == segments_before
         assert _event_store_dirs() == stores_before
@@ -600,12 +618,13 @@ class TestSharedStateCleanup:
         runtime = ServingRuntime(mailbox, spec,
                                  RuntimeConfig(num_workers=2, max_backlog=4))
         runtime.start()
-        # Two ring generations: the 1000-event batch outgrows the slots.
+        # The mailbox's 5 segments, then two ring generations: the
+        # 1000-event batch outgrows the slots.
         for batch, src_emb, dst_emb in make_sized_stream([10, 1000, 10]):
             runtime.submit(batch, src_emb, dst_emb)
         live_ring = {name for name, _, _ in runtime._ring.handle().segments.values()} \
             | {name for name, _, _ in runtime._slabs.handle().segments.values()}
-        assert len(ring_segments) == 9 and live_ring < ring_segments
+        assert len(ring_segments) == 5 + 9 and live_ring < ring_segments
         assert live_ring <= _shm_segment_names()
         for pid in runtime.worker_pids():
             os.kill(pid, signal.SIGKILL)
@@ -696,7 +715,10 @@ class TestSharedStateCleanup:
         assert _shm_segment_names() == segments_before
 
     def test_share_memory_partial_failure_leaks_nothing(self, monkeypatch):
-        """shm exhaustion mid-share releases the segments already created."""
+        """shm exhaustion mid-share releases the segments already created.
+
+        The mailbox shares through ``repro.obs._shm``, so the failure is
+        injected into the segments that module creates."""
         from multiprocessing import shared_memory as shm_module
         segments_before = _shm_segment_names()
         real_shared_memory = shm_module.SharedMemory
@@ -709,8 +731,8 @@ class TestSharedStateCleanup:
                     raise OSError(28, "No space left on device")
             return real_shared_memory(*args, **kwargs)
 
-        import repro.core.mailbox as mailbox_module
-        monkeypatch.setattr(mailbox_module.shared_memory, "SharedMemory",
+        import repro.obs._shm as shm_bundle_module
+        monkeypatch.setattr(shm_bundle_module.shared_memory, "SharedMemory",
                             failing_shared_memory)
         mailbox = Mailbox(NUM_NODES, SLOTS, DIM)
         mailbox.deliver(np.array([0]), np.ones((1, DIM)), np.array([1.0]))

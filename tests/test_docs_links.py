@@ -4,15 +4,20 @@
 and other repo files.  Stale references in documentation are worse than no
 docs, so this suite extracts every file-looking reference — markdown link
 targets and backticked inline paths — and asserts it exists in the working
-tree, and resolves every backticked dotted ``repro.*`` symbol (class,
-function, constant or attribute) against the installed package, so the
-documented API surface cannot silently drift from the code.
+tree, resolves every backticked dotted ``repro.*`` symbol (class,
+function, constant or attribute) against the installed package, and every
+backticked ``Name.attr`` token whose ``Name`` the package or one of its
+subpackages exports (``APANConfig.seed``, ``Mailbox.share_memory()``), so
+the documented API surface — fields and methods included — cannot silently
+drift from the code.
 CI runs this as a dedicated step (see ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -116,6 +121,64 @@ def test_all_documented_symbols_resolve(doc):
     assert not broken, (
         f"{doc.relative_to(REPO_ROOT)} documents repro.* symbols that do not "
         f"resolve against the package: {sorted(set(broken))}"
+    )
+
+
+# Backticked ``Name.attr[.attr]`` tokens, optional trailing call ``()``; only
+# those whose ``Name`` is exported are claims about the package.
+_MEMBER = re.compile(r"^(\w+)((?:\.\w+)+)(?:\(\))?$")
+
+
+def _exported_names() -> dict[str, list]:
+    """Every name in the ``__all__`` of ``repro`` and of its subpackages."""
+    import repro
+
+    packages = [repro] + [importlib.import_module(f"repro.{info.name}")
+                          for info in pkgutil.iter_modules(repro.__path__)
+                          if info.ispkg]
+    exported: dict[str, list] = {}
+    for package in packages:
+        for name in getattr(package, "__all__", ()):
+            exported.setdefault(name, []).append(getattr(package, name))
+    return exported
+
+
+def extract_members(doc: Path, exported) -> list[str]:
+    """Every backticked ``Name.attr`` token naming an exported ``Name``."""
+    members: list[str] = []
+    for code in _CODE.findall(doc.read_text()):
+        for token in code.split():
+            match = _MEMBER.match(token)
+            if match and match.group(1) in exported:
+                members.append(token.removesuffix("()"))
+    return members
+
+
+def _member_resolves(owner, attrs: list[str]) -> bool:
+    """Walk ``attrs`` with getattr; a dataclass field counts as an attribute."""
+    for attr in attrs:
+        if hasattr(owner, attr):
+            owner = getattr(owner, attr)
+        elif (dataclasses.is_dataclass(owner)
+              and attr in {field.name for field in dataclasses.fields(owner)}):
+            owner = None  # a field without a class-level default: a leaf
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_all_documented_members_resolve(doc):
+    """Backticked ``Name.attr`` of exported names must exist (drift audit)."""
+    exported = _exported_names()
+    broken = []
+    for member in extract_members(doc, exported):
+        name, *attrs = member.split(".")
+        if not any(_member_resolves(owner, attrs) for owner in exported[name]):
+            broken.append(member)
+    assert not broken, (
+        f"{doc.relative_to(REPO_ROOT)} documents fields or methods that do "
+        f"not exist: {sorted(set(broken))}"
     )
 
 

@@ -89,3 +89,38 @@ class TestPackageSurface:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             assert callable(getattr(module, "main", None)), script.name
+
+    def test_one_shared_memory_lifecycle(self):
+        """Only ``obs/_shm.py`` creates, attaches or finalizes shared segments.
+
+        Every other module shares arrays through its ``SharedArrayBundle``:
+        none imports ``multiprocessing.shared_memory`` or
+        ``resource_tracker``, or registers a ``weakref.finalize``.
+        """
+        import ast
+        import pathlib
+
+        def lifecycle_names(path):
+            found = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)):
+                    names = [f"{node.value.id}.{node.attr}"]
+                else:
+                    continue
+                found.update(name for name in names if name in (
+                    "multiprocessing.shared_memory",
+                    "multiprocessing.resource_tracker", "weakref.finalize"))
+            return found
+
+        src = pathlib.Path(repro.__file__).resolve().parent
+        users = {str(path.relative_to(src)): lifecycle_names(path)
+                 for path in sorted(src.rglob("*.py"))}
+        users = {path: names for path, names in users.items() if names}
+        assert users == {"obs/_shm.py": {"multiprocessing.shared_memory",
+                                         "multiprocessing.resource_tracker",
+                                         "weakref.finalize"}}
