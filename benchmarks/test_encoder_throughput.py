@@ -39,11 +39,12 @@ NUM_NODES = 2_000
 FEATURE_DIM = 16
 NUM_SLOTS = 10
 BATCH_SIZE = 200
-# Measured locally: reference ~3k encodes/s, vectorized ~200k encodes/s
-# (>60x).  The floor is deliberately far below the measured ratio so CI noise
-# cannot flake, while still failing if the fast path ever degenerates to
-# per-node work.
-MIN_SPEEDUP = 3.0
+# Measured on the 2-core CI VM: reference ~3k encodes/s, vectorized
+# ~200-300k encodes/s, a 64-86x ratio (recorded 84.9x).  The floor sits at
+# ~0.6x the recorded ratio, so an exact 2x slowdown of ``encode_many``
+# (39-45x) fails it, not only a fall back to per-node work.
+MIN_SPEEDUP = 50.0
+FAST_REPS = 3
 
 # The serving micro-batch: ~2 events -> ~4 distinct nodes per decision.
 # Measured 2.7-3.2x on the 2-core CI VM; the floor fails if the inference
@@ -68,35 +69,46 @@ def prefilled_mailbox(seed: int = 0) -> Mailbox:
     return mailbox
 
 
-def measure_encodes_per_second(engine: str) -> float:
-    """Encodes/s of ``encode_many``, or of the oracle (``"reference"``)."""
+def measure_encodes_per_second() -> dict[str, float]:
+    """Encodes/s of ``encode_many`` and of the oracle, batch by batch.
+
+    The two engines encode each batch back to back, so a slow spell of the
+    machine hits both sides of the ratio; the fast side keeps the best of
+    ``FAST_REPS`` runs of each batch (a ~1 ms call is easily preempted).
+    """
     rng = np.random.default_rng(1)
     mailbox = prefilled_mailbox()
-    encoder = APANEncoder(embedding_dim=FEATURE_DIM, num_slots=NUM_SLOTS,
-                          num_heads=2, hidden_dim=80, dropout=0.0,
-                          rng=np.random.default_rng(0))
-    encoder.eval()
-    if engine == "reference":
-        use_reference_encoder(encoder)
+    encoders = {}
+    for engine in ("reference", "vectorized"):
+        encoder = APANEncoder(embedding_dim=FEATURE_DIM, num_slots=NUM_SLOTS,
+                              num_heads=2, hidden_dim=80, dropout=0.0,
+                              rng=np.random.default_rng(0))
+        encoder.eval()
+        encoders[engine] = encoder
+    use_reference_encoder(encoders["reference"])
     node_state = rng.normal(size=(NUM_NODES, FEATURE_DIM))
     batches = [rng.integers(0, NUM_NODES, BATCH_SIZE).astype(np.int64)
                for _ in range(NUM_ENCODES // BATCH_SIZE)]
     gathers = [mailbox.gather_many(nodes) for nodes in batches]
 
-    begin = time.perf_counter()
+    elapsed = dict.fromkeys(encoders, 0.0)
     with no_grad():
         for gather in gathers:
-            encoder.encode_many(Tensor(node_state[gather.nodes]),
-                                gather.mails, gather.times, gather.valid,
-                                current_time=1_000.0)
-    elapsed = time.perf_counter() - begin
-    return NUM_ENCODES / elapsed
+            args = (Tensor(node_state[gather.nodes]), gather.mails,
+                    gather.times, gather.valid, 1_000.0)
+            for engine, encoder in encoders.items():
+                best = float("inf")
+                for _ in range(1 if engine == "reference" else FAST_REPS):
+                    begin = time.perf_counter()
+                    encoder.encode_many(*args)
+                    best = min(best, time.perf_counter() - begin)
+                elapsed[engine] += best
+    return {engine: NUM_ENCODES / seconds for engine, seconds in elapsed.items()}
 
 
 @pytest.fixture(scope="module")
 def throughput():
-    return {engine: measure_encodes_per_second(engine)
-            for engine in ("reference", "vectorized")}
+    return measure_encodes_per_second()
 
 
 def test_encoder_throughput(throughput):

@@ -4,8 +4,9 @@ APAN (Asynchronous Propagation Attention Network) is a continuous-time
 dynamic graph embedding model that decouples model inference from graph
 querying so it can serve millisecond-level decisions online.  This package
 contains the model, every substrate it needs (a NumPy neural-network
-framework, a temporal graph store, dataset generators), the baselines it is
-compared against, the evaluation protocol and a measured serving loop.
+framework, an append-only event store with zero-copy graph views, dataset
+generators), the baselines it is compared against, the evaluation protocol
+and a measured serving loop.
 
 Quickstart::
 
@@ -13,7 +14,7 @@ Quickstart::
 
     dataset = get_dataset("wikipedia", scale=0.01)
     split = dataset.split()
-    graph = dataset.to_temporal_graph()
+    graph = dataset.to_temporal_graph()  # a GraphView over an EventStore
     model = APAN(dataset.num_nodes, dataset.edge_feature_dim, APANConfig(max_epochs=3))
     trainer = LinkPredictionTrainer(model, graph, split.train_end, split.val_end)
     result = trainer.fit()
@@ -27,7 +28,6 @@ from . import analytics
 from . import scenarios
 from .core import APAN, APANConfig, LinkPredictionTrainer, TemporalEmbeddingModel
 from .datasets import TemporalDataset, get_dataset
-from .graph import TemporalGraph
 
 __version__ = "1.0.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "LinkPredictionTrainer",
     "TemporalEmbeddingModel",
     "TemporalDataset",
-    "TemporalGraph",
     "get_dataset",
     "nn",
     "graph",

@@ -50,9 +50,8 @@ class AnalyticsFeatureProvider(FeatureProvider):
     """Incrementally maintained per-node features for the decision path.
 
     ``source`` is anything :class:`~repro.analytics.registry.ViewRegistry`
-    accepts: an :class:`~repro.storage.event_store.EventStore`, a
-    :class:`~repro.graph.temporal_graph.TemporalGraph` façade, or a
-    :class:`~repro.storage.graph_view.GraphView` — it must expose
+    accepts: an :class:`~repro.storage.event_store.EventStore` or a
+    :class:`~repro.storage.graph_view.GraphView` over one — it must expose
     ``num_nodes``, ``num_events`` and the ``src``/``dst``/``timestamps``/
     ``labels`` column properties.  ``window`` is the sliding-window width in
     the stream's own time unit.

@@ -6,7 +6,6 @@ uniform ``fold(src, dst, timestamps, labels, first_row)`` method — e.g.
 :class:`~repro.analytics.velocity.DegreeVelocity`) over one event source (an
 :class:`~repro.storage.event_store.EventStore`, or any store-like object
 with the same column properties, such as a
-:class:`~repro.graph.temporal_graph.TemporalGraph` façade or a
 :class:`~repro.storage.graph_view.GraphView`).
 
 ``advance(hi)`` mirrors :meth:`~repro.storage.graph_view.GraphView.extend_to`:

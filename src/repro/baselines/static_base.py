@@ -18,7 +18,6 @@ import numpy as np
 from ..datasets.base import DatasetSplit, TemporalDataset
 from ..eval.metrics import accuracy, average_precision, roc_auc
 from ..graph.batching import iterate_batches
-from ..graph.temporal_graph import TemporalGraph
 
 __all__ = ["StaticBaseline", "StaticLinkPredictionResult", "evaluate_static_link_prediction",
            "evaluate_static_node_classification"]

@@ -18,7 +18,6 @@ import numpy as np
 
 from ...datasets.base import DatasetSplit, TemporalDataset
 from ...graph.static_graph import StaticGraph
-from ...graph.temporal_graph import TemporalGraph
 from ...nn import functional as F
 from ...nn.layers import Linear
 from ...nn.module import Module
@@ -31,12 +30,8 @@ __all__ = ["GraphSAGEBaseline", "GATBaseline", "GAEBaseline", "VGAEBaseline"]
 
 
 def _training_static_graph(dataset: TemporalDataset, split: DatasetSplit) -> StaticGraph:
-    temporal = TemporalGraph.from_arrays(
-        dataset.src[:split.train_end], dataset.dst[:split.train_end],
-        dataset.timestamps[:split.train_end], dataset.edge_features[:split.train_end],
-        labels=dataset.labels[:split.train_end], num_nodes=dataset.num_nodes,
-    )
-    return StaticGraph.from_temporal(temporal)
+    training = dataset.to_temporal_graph().slice_events(0, split.train_end)
+    return StaticGraph.from_temporal(training)
 
 
 class _SAGEEncoder(Module):

@@ -83,7 +83,7 @@ class TemporalAttentionLayer(Module):
         ``node_repr_fn(nodes, times)`` must return a ``(n, node_dim)`` Tensor
         of representations for arbitrary nodes (used recursively by 2-layer
         models); ``graph`` is the model's internal
-        :class:`~repro.graph.temporal_graph.TemporalGraph` (used for the edge
+        :class:`~repro.storage.graph_view.GraphView` (used for the edge
         feature lookup).  Returns ``(neighbor_repr, neighbor_times,
         neighbor_edge_feats, valid)`` ready for :meth:`forward`.
         """

@@ -20,8 +20,8 @@ from ..core.decoder import LinkPredictionDecoder
 from ..core.interfaces import BatchEmbeddings, TemporalEmbeddingModel
 from ..graph.batching import EventBatch
 from ..graph.neighbor_sampler import make_sampler
-from ..graph.temporal_graph import TemporalGraph
 from ..nn.tensor import Tensor
+from ..storage import EventStore, GraphView
 from .temporal_attention import TemporalAttentionLayer
 
 __all__ = ["TGAT"]
@@ -57,13 +57,13 @@ class TGAT(TemporalEmbeddingModel):
             self.layers.append(layer)
         self.link_decoder = LinkPredictionDecoder(embedding_dim, rng=rng)
 
-        self.graph = TemporalGraph(num_nodes, edge_feature_dim)
+        self.graph = GraphView(EventStore(num_nodes, edge_feature_dim))
         self._sampler = make_sampler(sampling, self.graph,
                                      num_neighbors=num_neighbors, seed=seed)
 
     # ------------------------------------------------------------------ #
     def reset_state(self) -> None:
-        self.graph = TemporalGraph(self.num_nodes, self.edge_feature_dim)
+        self.graph = GraphView(EventStore(self.num_nodes, self.edge_feature_dim))
         self._sampler = make_sampler(self.sampling, self.graph,
                                      num_neighbors=self.num_neighbors, seed=self._seed)
 
@@ -107,12 +107,8 @@ class TGAT(TemporalEmbeddingModel):
         )
 
     def update_state(self, batch: EventBatch, embeddings: BatchEmbeddings) -> None:
-        for index in range(len(batch)):
-            self.graph.add_interaction(
-                int(batch.src[index]), int(batch.dst[index]),
-                float(batch.timestamps[index]), batch.edge_features[index],
-                label=float(batch.labels[index]),
-            )
+        self.graph.store.append_batch(batch.src, batch.dst, batch.timestamps,
+                                      batch.edge_features, batch.labels)
 
     def link_logits(self, src_embedding: Tensor, dst_embedding: Tensor) -> Tensor:
         return self.link_decoder(src_embedding, dst_embedding)

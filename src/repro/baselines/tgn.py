@@ -19,10 +19,10 @@ from ..core.decoder import LinkPredictionDecoder
 from ..core.interfaces import BatchEmbeddings, TemporalEmbeddingModel
 from ..graph.batching import EventBatch
 from ..graph.neighbor_sampler import make_sampler
-from ..graph.temporal_graph import TemporalGraph
 from ..nn import functional as F
 from ..nn.layers import GRUCell, TimeEncode
 from ..nn.tensor import Tensor, no_grad
+from ..storage import EventStore, GraphView
 from .memory import NodeMemory
 from .temporal_attention import TemporalAttentionLayer
 
@@ -65,14 +65,14 @@ class TGN(TemporalEmbeddingModel):
         self.link_decoder = LinkPredictionDecoder(embedding_dim, rng=rng)
 
         self.memory = NodeMemory(num_nodes, memory_dim)
-        self.graph = TemporalGraph(num_nodes, edge_feature_dim)
+        self.graph = GraphView(EventStore(num_nodes, edge_feature_dim))
         self._sampler = make_sampler(sampling, self.graph,
                                      num_neighbors=num_neighbors, seed=seed)
 
     # ------------------------------------------------------------------ #
     def reset_state(self) -> None:
         self.memory.reset()
-        self.graph = TemporalGraph(self.num_nodes, self.edge_feature_dim)
+        self.graph = GraphView(EventStore(self.num_nodes, self.edge_feature_dim))
         self._sampler = make_sampler(self.sampling, self.graph,
                                      num_neighbors=self.num_neighbors, seed=self._seed)
 
@@ -135,11 +135,8 @@ class TGN(TemporalEmbeddingModel):
         self.memory.set(src, new_src_memory.data, times)
         self.memory.set(dst, new_dst_memory.data, times)
 
-        for index in range(len(batch)):
-            self.graph.add_interaction(
-                int(src[index]), int(dst[index]), float(times[index]),
-                batch.edge_features[index], label=float(batch.labels[index]),
-            )
+        self.graph.store.append_batch(batch.src, batch.dst, batch.timestamps,
+                                      batch.edge_features, batch.labels)
 
     def link_logits(self, src_embedding: Tensor, dst_embedding: Tensor) -> Tensor:
         return self.link_decoder(src_embedding, dst_embedding)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..datasets.base import DatasetSplit, TemporalDataset
 from ..graph.static_graph import StaticGraph
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 from .skipgram import train_skipgram
 from .static_base import StaticBaseline
 
@@ -27,11 +27,7 @@ __all__ = ["DeepWalk", "Node2Vec", "CTDNE"]
 
 def _training_graphs(dataset: TemporalDataset, split: DatasetSplit):
     """Static and temporal views of the training window only."""
-    temporal = TemporalGraph.from_arrays(
-        dataset.src[:split.train_end], dataset.dst[:split.train_end],
-        dataset.timestamps[:split.train_end], dataset.edge_features[:split.train_end],
-        labels=dataset.labels[:split.train_end], num_nodes=dataset.num_nodes,
-    )
+    temporal = dataset.to_temporal_graph().slice_events(0, split.train_end)
     return StaticGraph.from_temporal(temporal), temporal
 
 
@@ -147,7 +143,7 @@ class CTDNE(StaticBaseline):
         self.seed = seed
         self._embeddings: np.ndarray | None = None
 
-    def _temporal_walk(self, graph: TemporalGraph, start: int,
+    def _temporal_walk(self, graph: GraphView, start: int,
                        rng: np.random.Generator) -> list[int]:
         """One walk whose consecutive edge timestamps are non-decreasing."""
         neighbors, _, timestamps = graph.node_events(start)

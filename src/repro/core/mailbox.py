@@ -56,13 +56,28 @@ class MailboxGather:
 @dataclass(frozen=True)
 class MailboxHandle:
     """Picklable recipe for :meth:`Mailbox.attach`: the shared arrays plus
-    the update policy (the geometry is read off the arrays' shapes)."""
+    the update policy and its concrete seed (the geometry is read off the
+    arrays' shapes)."""
 
     bundle: BundleHandle
     update_policy: str = "fifo"
+    seed: int = 0
 
 
 _UPDATE_POLICIES = ("fifo", "reservoir", "newest_overwrite")
+
+# SplitMix64 constants: the golden-ratio increment and the finaliser's two
+# multipliers.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser: a bijective avalanche of ``uint64`` words."""
+    words = (words ^ (words >> np.uint64(30))) * _MIX1
+    words = (words ^ (words >> np.uint64(27))) * _MIX2
+    return words ^ (words >> np.uint64(31))
 
 
 class Mailbox:
@@ -86,7 +101,12 @@ class Mailbox:
         self.num_slots = num_slots
         self.mail_dim = mail_dim
         self.update_policy = update_policy
-        self._rng = np.random.default_rng(seed)
+        # Draw entropy for seed=None once, here: an attached worker mailbox
+        # must draw reservoir slots like this one does.
+        if seed is None:
+            seed = int(np.random.SeedSequence().entropy)
+        self.seed = seed
+        self._entropy = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
         self._bundle, self._owner = None, False
 
         self.mails = np.zeros((num_nodes, num_slots, mail_dim))
@@ -126,9 +146,8 @@ class Mailbox:
                 timestamps: np.ndarray) -> None:
         """Deliver a batch of mails (ψ update), one row per receiving slot write.
 
-        Vectorised (except the ``reservoir`` policy's duplicate-node loop).
-        ``nodes`` may repeat (ρ usually reduces them first); duplicates are
-        resolved exactly as sequential in-order delivery would.
+        Vectorised.  ``nodes`` may repeat (ρ usually reduces them first);
+        duplicates are resolved exactly as sequential in-order delivery would.
         """
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         mails = np.asarray(mails, dtype=np.float64)
@@ -207,43 +226,29 @@ class Mailbox:
     def _deliver_reservoir(self, nodes, mails, timestamps) -> None:
         """Ablation policy: reservoir sampling keeps a uniform sample of history.
 
-        Distinct nodes (the common case after ρ) draw their slots in one
-        array call; duplicates take the sequential loop, whose draws depend
-        on the running ``delivered`` counter.
+        A node's ``i``-th mail ever fills slot ``i`` while ``i < num_slots``;
+        later it replaces slot ``r`` if a uniform draw ``r`` in ``[0, i]``
+        lands below ``num_slots``.  ``r`` is a pure function of
+        ``(seed, node, i)`` (counter-based, like the samplers' per-query
+        generators), so a mailbox's contents depend neither on how deliveries
+        are batched nor on which process makes them.
         """
-        unique = len(np.unique(nodes)) == len(nodes)
-        if unique:
-            delivered = self._delivered[nodes]
-            filling = delivered < self.num_slots
-            slots = np.where(filling, delivered, 0)
-            accept = filling.copy()
-            full = np.where(~filling)[0]
-            if len(full):
-                candidates = self._rng.integers(0, delivered[full] + 1)
-                keep = candidates < self.num_slots
-                slots[full[keep]] = candidates[keep]
-                accept[full[keep]] = True
-            write_nodes = nodes[accept]
-            write_slots = slots[accept]
-            self.mails[write_nodes, write_slots] = mails[accept]
-            self.mail_times[write_nodes, write_slots] = timestamps[accept]
-            self.valid[write_nodes, write_slots] = True
-            self._delivered[nodes] += 1
-            return
-        for node, mail, timestamp in zip(nodes, mails, timestamps):
-            delivered = self._delivered[node]
-            if delivered < self.num_slots:
-                slot = delivered
-            else:
-                candidate = int(self._rng.integers(0, delivered + 1))
-                if candidate >= self.num_slots:
-                    self._delivered[node] += 1
-                    continue
-                slot = candidate
-            self.mails[node, slot] = mail
-            self.mail_times[node, slot] = timestamp
-            self.valid[node, slot] = True
-            self._delivered[node] += 1
+        offsets, _ = self._occurrence_offsets(nodes)
+        index = self._delivered[nodes] + offsets
+        key = _mix64(self._entropy + nodes.astype(np.uint64) * _GOLDEN)
+        draws = _mix64(key ^ index.astype(np.uint64)) % (index + 1).astype(np.uint64)
+        slots = np.where(index < self.num_slots, index, draws.astype(np.int64))
+        # Sequential delivery: of several mails landing in one slot, the
+        # last survives.
+        accepted = np.flatnonzero(slots < self.num_slots)[::-1]
+        _, first = np.unique(nodes[accepted] * self.num_slots + slots[accepted],
+                             return_index=True)
+        writes = accepted[first]
+        write_nodes, write_slots = nodes[writes], slots[writes]
+        self.mails[write_nodes, write_slots] = mails[writes]
+        self.mail_times[write_nodes, write_slots] = timestamps[writes]
+        self.valid[write_nodes, write_slots] = True
+        np.add.at(self._delivered, nodes, 1)
 
     # ------------------------------------------------------------------ #
     def read(self, nodes: np.ndarray,
@@ -312,14 +317,15 @@ class Mailbox:
             bundle[key][:] = getattr(self, attribute)
             setattr(self, attribute, bundle[key])
         self._bundle, self._owner = bundle, True
-        return MailboxHandle(bundle.handle(), self.update_policy)
+        return MailboxHandle(bundle.handle(), self.update_policy, self.seed)
 
     @classmethod
     def attach(cls, handle: MailboxHandle) -> "Mailbox":
         """Map a shared mailbox (worker side): same physical arrays as the
         owner's, and a :meth:`release_shared` that only unmaps."""
         bundle = SharedArrayBundle.attach(handle.bundle)
-        mailbox = cls(*bundle["mails"].shape, update_policy=handle.update_policy)
+        mailbox = cls(*bundle["mails"].shape, update_policy=handle.update_policy,
+                      seed=handle.seed)
         for key, attribute in cls.STATE:
             setattr(mailbox, attribute, bundle[key])
         mailbox._bundle = bundle

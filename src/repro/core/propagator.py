@@ -15,9 +15,11 @@ propagator performs, *off the synchronous critical path*:
 5. **Mailbox updating (ψ)** — FIFO insertion into the receivers' mailboxes
    (delegated to :class:`repro.core.mailbox.Mailbox`).
 
-The propagator owns the model's internal :class:`TemporalGraph`, to which the
-batch's events are appended *after* propagation — so mails are routed along
-edges that existed strictly before the batch, mirroring the deployed system in
+The propagator owns the model's internal graph, a live
+:class:`~repro.storage.graph_view.GraphView` over a private
+:class:`~repro.storage.event_store.EventStore`.  The batch's events are
+appended to that store *after* propagation, so mails are routed along edges
+that existed strictly before the batch, mirroring the deployed system in
 which the graph database lags the event stream.
 
 Routing (steps 2–3) expands whole frontiers per hop with array ops
@@ -41,7 +43,7 @@ import numpy as np
 
 from ..graph.batching import EventBatch
 from ..graph.neighbor_sampler import make_sampler
-from ..graph.temporal_graph import TemporalGraph
+from ..storage import EventStore, GraphView
 from .mailbox import Mailbox
 
 __all__ = ["MailPropagator", "PropagationReport"]
@@ -105,13 +107,13 @@ class MailPropagator:
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         # Event store used for neighbour lookups.  By default the propagator
-        # owns a private, incrementally grown TemporalGraph that it ingests
-        # into after each propagated batch.  A serving worker instead injects
+        # owns a private, incrementally grown EventStore (behind a live view)
+        # that it ingests into after each propagated batch.  A serving worker instead injects
         # a shared read-only view (GraphView over an mmap-attached
         # EventStore): the runtime's writer appends events once, and every
         # worker routes against the same physical pages.
         if graph is None:
-            self.graph = TemporalGraph(num_nodes, edge_feature_dim)
+            self.graph = GraphView(EventStore(num_nodes, edge_feature_dim))
             self._owns_graph = True
         else:
             self.graph = graph
@@ -142,7 +144,7 @@ class MailPropagator:
         """
         self.mailbox.reset()
         if self._owns_graph:
-            self.graph = TemporalGraph(self.num_nodes, self.edge_feature_dim)
+            self.graph = GraphView(EventStore(self.num_nodes, self.edge_feature_dim))
         self._sampler = self._make_sampler()
 
     # ------------------------------------------------------------------ #
@@ -330,6 +332,6 @@ class MailPropagator:
             raise RuntimeError(
                 "this propagator routes against a shared event store it does "
                 "not own; append events through the store's writer instead")
-        self.graph.add_interactions(batch.src, batch.dst, batch.timestamps,
-                                    batch.edge_features, batch.labels)
+        self.graph.store.append_batch(batch.src, batch.dst, batch.timestamps,
+                                      batch.edge_features, batch.labels)
 

@@ -30,7 +30,7 @@ import numpy as np
 from ..eval.evaluators import LinkPredictionResult, evaluate_link_prediction
 from ..eval.negative_sampling import TimeAwareNegativeSampler
 from ..graph.batching import iterate_batches
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 from ..nn import functional as F
 from ..nn.optim import Adam, clip_grad_norm
 from ..utils.logging import RunLogger
@@ -65,7 +65,7 @@ class TrainingResult:
 class LinkPredictionTrainer:
     """Trains a temporal embedding model on future link prediction."""
 
-    def __init__(self, model: TemporalEmbeddingModel, graph: TemporalGraph,
+    def __init__(self, model: TemporalEmbeddingModel, graph: GraphView,
                  train_end: int, val_end: int,
                  batch_size: int = 200, learning_rate: float = 1e-4,
                  max_epochs: int = 10, patience: int = 5,

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.event_store import EventStore
+from ..storage.graph_view import GraphView
 from .timedelta import TimeDelta
 
 __all__ = ["TemporalDataset", "DatasetSplit", "chronological_split"]
@@ -166,12 +167,10 @@ class TemporalDataset:
             return np.zeros(0, dtype=np.float64)
         return np.maximum.accumulate(times) - times
 
-    def to_temporal_graph(self) -> TemporalGraph:
-        """Materialise the full event stream as a :class:`TemporalGraph`."""
-        return TemporalGraph.from_arrays(
-            self.src, self.dst, self.timestamps, self.edge_features,
-            labels=self.labels, num_nodes=self.num_nodes,
-        )
+    def to_temporal_graph(self) -> GraphView:
+        """The full event stream as a live :class:`GraphView` over an
+        in-memory :meth:`to_event_store`."""
+        return GraphView(self.to_event_store())
 
     def to_event_store(self, path=None, batch_size: int = 100_000):
         """Load the stream into a columnar :class:`~repro.storage.EventStore`.
@@ -181,8 +180,6 @@ class TemporalDataset:
         ``batch_size`` chunks, so peak memory stays bounded by the chunk even
         for streams much larger than RAM when writing to disk.
         """
-        from ..storage.event_store import EventStore
-
         if path is None:
             store = EventStore(self.num_nodes, self.edge_feature_dim)
         else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.interfaces import TemporalEmbeddingModel
 from ..graph.batching import iterate_batches
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 from ..nn import functional as F
 from ..nn.tensor import no_grad
 from .metrics import accuracy, average_precision
@@ -40,7 +40,7 @@ class LinkPredictionResult:
         }
 
 
-def evaluate_link_prediction(model: TemporalEmbeddingModel, graph: TemporalGraph,
+def evaluate_link_prediction(model: TemporalEmbeddingModel, graph: GraphView,
                              start: int, stop: int, batch_size: int,
                              negative_sampler: TimeAwareNegativeSampler | None = None,
                              seed: int = 0,

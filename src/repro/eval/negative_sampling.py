@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.batching import EventBatch
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 
 __all__ = ["TimeAwareNegativeSampler", "RandomDestinationSampler"]
 
@@ -49,7 +49,7 @@ class RandomDestinationSampler:
 class TimeAwareNegativeSampler:
     """Negative sampler whose candidate pool grows as nodes become active."""
 
-    def __init__(self, graph: TemporalGraph, bipartite: bool = True,
+    def __init__(self, graph: GraphView, bipartite: bool = True,
                  avoid_recent_partners: bool = True, seed: int | None = None):
         self.graph = graph
         self.bipartite = bipartite

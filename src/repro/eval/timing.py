@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.interfaces import TemporalEmbeddingModel
 from ..graph.batching import iterate_batches
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 from ..nn import functional as F
 from ..nn.optim import Adam
 from ..nn.tensor import no_grad
@@ -53,7 +53,7 @@ class LatencyResult:
         }
 
 
-def measure_inference_latency(model: TemporalEmbeddingModel, graph: TemporalGraph,
+def measure_inference_latency(model: TemporalEmbeddingModel, graph: GraphView,
                               batch_size: int = 200, start: int = 0,
                               max_batches: int | None = None,
                               seed: int = 0) -> LatencyResult:
@@ -95,7 +95,7 @@ def measure_inference_latency(model: TemporalEmbeddingModel, graph: TemporalGrap
     )
 
 
-def measure_training_time(model: TemporalEmbeddingModel, graph: TemporalGraph,
+def measure_training_time(model: TemporalEmbeddingModel, graph: GraphView,
                           batch_size: int = 200, stop: int | None = None,
                           learning_rate: float = 1e-4, seed: int = 0) -> float:
     """Time one training epoch (seconds) over events ``[0, stop)``."""

@@ -1,4 +1,8 @@
-"""Temporal graph substrate: event store, samplers, static views, batching."""
+"""Temporal graph substrate: samplers, snapshots, static views, batching.
+
+The graph itself is a :class:`~repro.storage.graph_view.GraphView` over an
+:class:`~repro.storage.event_store.EventStore` (``repro.storage``).
+"""
 
 from .batching import EventBatch, iterate_batches, num_batches
 from .neighbor_sampler import (
@@ -12,11 +16,8 @@ from .neighbor_sampler import (
 )
 from .snapshots import build_snapshots, snapshot_boundaries
 from .static_graph import StaticGraph
-from .temporal_graph import Interaction, TemporalGraph
 
 __all__ = [
-    "TemporalGraph",
-    "Interaction",
     "StaticGraph",
     "NeighborSample",
     "NeighborBatch",

@@ -3,7 +3,7 @@
 CTDG models process the event stream in chronological mini-batches (the paper
 uses a batch size of 200).  :class:`EventBatch` is the unit of work consumed
 by APAN and every dynamic baseline; :func:`iterate_batches` produces them from
-a :class:`~repro.graph.temporal_graph.TemporalGraph` slice.
+a :class:`~repro.storage.graph_view.GraphView` slice.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 
 __all__ = ["EventBatch", "iterate_batches", "num_batches"]
 
@@ -66,7 +66,7 @@ def num_batches(num_events: int, batch_size: int) -> int:
     return (num_events + batch_size - 1) // batch_size
 
 
-def iterate_batches(graph: TemporalGraph, batch_size: int,
+def iterate_batches(graph: GraphView, batch_size: int,
                     start: int = 0, stop: int | None = None):
     """Yield :class:`EventBatch` objects covering events ``[start, stop)``.
 

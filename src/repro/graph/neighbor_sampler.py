@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 
 __all__ = [
     "NeighborSample",
@@ -142,7 +142,7 @@ def _segment_searchsorted(times: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 class TemporalNeighborSampler:
     """Base class: sample up to ``num_neighbors`` events of a node before ``t``."""
 
-    def __init__(self, graph: TemporalGraph, num_neighbors: int = 10,
+    def __init__(self, graph: GraphView, num_neighbors: int = 10,
                  seed: int | None = None, stateless: bool = False):
         if num_neighbors <= 0:
             raise ValueError("num_neighbors must be positive")
@@ -345,7 +345,7 @@ class UniformNeighborSampler(TemporalNeighborSampler):
 class TimeWeightedNeighborSampler(TemporalNeighborSampler):
     """Sample with probability proportional to recency (exponential decay)."""
 
-    def __init__(self, graph: TemporalGraph, num_neighbors: int = 10,
+    def __init__(self, graph: GraphView, num_neighbors: int = 10,
                  seed: int | None = None, stateless: bool = False,
                  decay: float = 1e-5):
         super().__init__(graph, num_neighbors, seed, stateless)
@@ -391,7 +391,7 @@ _SAMPLERS = {
 }
 
 
-def make_sampler(strategy: str, graph: TemporalGraph, num_neighbors: int = 10,
+def make_sampler(strategy: str, graph: GraphView, num_neighbors: int = 10,
                  seed: int | None = None,
                  stateless: bool = False) -> TemporalNeighborSampler:
     """Factory for sampler strategies ('recent', 'uniform', 'time_weighted')."""

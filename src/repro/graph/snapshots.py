@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .static_graph import StaticGraph
-from .temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 
 __all__ = ["build_snapshots", "snapshot_boundaries"]
 
 
-def snapshot_boundaries(graph: TemporalGraph, num_snapshots: int) -> np.ndarray:
+def snapshot_boundaries(graph: GraphView, num_snapshots: int) -> np.ndarray:
     """Equal-width time boundaries covering the graph's timespan.
 
     Returns ``num_snapshots + 1`` boundary values; snapshot ``i`` covers
@@ -34,7 +34,7 @@ def snapshot_boundaries(graph: TemporalGraph, num_snapshots: int) -> np.ndarray:
     return np.linspace(start, stop, num_snapshots + 1)
 
 
-def build_snapshots(graph: TemporalGraph, num_snapshots: int) -> list[StaticGraph]:
+def build_snapshots(graph: GraphView, num_snapshots: int) -> list[StaticGraph]:
     """Split a temporal graph into ``num_snapshots`` static snapshots."""
     boundaries = snapshot_boundaries(graph, num_snapshots)
     snapshots: list[StaticGraph] = []
@@ -42,6 +42,6 @@ def build_snapshots(graph: TemporalGraph, num_snapshots: int) -> list[StaticGrap
         start, stop = boundaries[index], boundaries[index + 1]
         if index == num_snapshots - 1:
             stop = np.nextafter(stop, np.inf)
-        window = graph.slice_by_time(start, stop)
+        window = graph.slice_time(start, stop)
         snapshots.append(StaticGraph.from_temporal(window))
     return snapshots

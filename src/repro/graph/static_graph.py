@@ -3,14 +3,14 @@
 The static baselines (GraphSAGE, GAT, GAE/VGAE, DeepWalk, Node2Vec) discard
 timestamps and operate on the aggregated adjacency structure — exactly the
 simplification Figure 1(b) of the paper criticises.  This module builds that
-view from a :class:`~repro.graph.temporal_graph.TemporalGraph`.
+view from a :class:`~repro.storage.graph_view.GraphView`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 
 __all__ = ["StaticGraph"]
 
@@ -29,7 +29,7 @@ class StaticGraph:
         self.edge_feature_dim = 0
 
     @classmethod
-    def from_temporal(cls, graph: TemporalGraph) -> "StaticGraph":
+    def from_temporal(cls, graph: GraphView) -> "StaticGraph":
         static = cls(graph.num_nodes)
         static.edge_feature_dim = graph.edge_feature_dim
         src, dst = graph.src, graph.dst

@@ -65,10 +65,11 @@ class TraceRing:
         self.writer = writer
         self._bundle = bundle
         self._name_ids = {name: i for i, name in enumerate(self.names)}
-        # Hot-path caches (re-pointed at the private copies on release).
+        # The ring's arrays (re-pointed at the private copies on release).
         self._records = bundle["records"]
         self._cursor = bundle["cursor"]
-        bundle["pids"][writer] = os.getpid()
+        self._pids = bundle["pids"]
+        self._pids[writer] = os.getpid()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -102,9 +103,20 @@ class TraceRing:
                                bundle=self._bundle.handle())
 
     def release(self) -> None:
-        self._bundle.release()
-        self._records = self._bundle["records"]
-        self._cursor = self._bundle["cursor"]
+        """Unmap (the owner also unlinks); the ring stays readable.
+
+        The private copy takes only the rows some writer reached, into
+        lazily zeroed memory: a run that wrote a few thousand records pays
+        for those, not for copying and faulting in the whole capacity.
+        """
+        if not self._bundle.is_shared:
+            return
+        used = min(int(self._cursor.max()), self.capacity)
+        records = np.zeros(self._records.shape, dtype=self._records.dtype)
+        records[:, :used] = self._records[:, :used]
+        self._records, self._cursor, self._pids = \
+            records, np.array(self._cursor), np.array(self._pids)
+        self._bundle.release(keep=False)
 
     @property
     def is_shared(self) -> bool:
@@ -138,12 +150,12 @@ class TraceRing:
     # ------------------------------------------------------------------ #
     def dropped(self, writer: int) -> int:
         """Records lost to ring overflow for one writer."""
-        return max(0, int(self._bundle["cursor"][writer]) - self.capacity)
+        return max(0, int(self._cursor[writer]) - self.capacity)
 
     def records(self, writer: int) -> np.ndarray:
         """This writer's surviving records, oldest first (copy)."""
-        total = int(self._bundle["cursor"][writer])
-        ring = self._bundle["records"][writer]
+        total = int(self._cursor[writer])
+        ring = self._records[writer]
         if total <= self.capacity:
             return np.array(ring[:total])
         split = total % self.capacity
@@ -165,7 +177,7 @@ def chrome_trace_events(ring: TraceRing) -> list:
     trace-event format specifies.
     """
     events: list = []
-    pids = ring._bundle["pids"]
+    pids = ring._pids
     for writer in range(ring.num_writers):
         pid = int(pids[writer]) or (1000 + writer)
         events.append({

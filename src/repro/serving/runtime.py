@@ -34,7 +34,7 @@ Dataflow
   advance a :class:`~repro.storage.graph_view.GraphView` to exactly the rows
   strictly before each batch, so routing sees the same store prefix
   sequential propagation would — with **one** physical copy of the stream
-  per machine instead of one private ``TemporalGraph`` per worker (the
+  per machine instead of one private event store per worker (the
   former scaling wall: per-worker ingest cost and O(events × workers)
   resident memory).
 * **Hand-off ring** — ``submit`` copies batch ``seq``'s row range, submit

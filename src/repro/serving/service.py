@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.interfaces import TemporalEmbeddingModel
 from ..graph.batching import EventBatch, iterate_batches
-from ..graph.temporal_graph import TemporalGraph
+from ..storage.graph_view import GraphView
 from ..nn.tensor import no_grad
 from ..obs import NULL_TELEMETRY, summarize
 
@@ -188,7 +188,7 @@ class ServingLoop:
     is done.  ``run(mode=...)`` selects one of :data:`SERVING_MODES`.
     """
 
-    def __init__(self, model: TemporalEmbeddingModel, graph: TemporalGraph,
+    def __init__(self, model: TemporalEmbeddingModel, graph: GraphView,
                  batch_size: int = 200,
                  feature_provider: FeatureProvider | None = None,
                  watermark_policy=None):
@@ -217,7 +217,10 @@ class ServingLoop:
         records the wall-clock staleness of the mailbox snapshot it read —
         the age of the oldest propagation task still undelivered at read
         time (the stream-time watermark gap stays available via
-        :meth:`~repro.serving.runtime.ServingRuntime.staleness`).
+        :meth:`~repro.serving.runtime.ServingRuntime.staleness`), and the
+        decision path runs once untimed over the first batch after the pool
+        starts, so the fork's copy-on-write faults precede the first timed
+        decision.
         """
         if mode not in SERVING_MODES:
             raise ValueError(f"mode must be one of {SERVING_MODES}, got {mode!r}")
@@ -248,6 +251,16 @@ class ServingLoop:
         mean_lag_ms, max_backlog = 0.0, 0
         try:
             with no_grad():
+                if runtime is not None and self.graph.num_events:
+                    # start() forked the pool, so the scorer's pages are now
+                    # copy-on-write: the first decision would pay ~450 page
+                    # faults (~2 ms, 3x a steady decision).  One untimed pass
+                    # of the decision path over the first batch takes them
+                    # first.  It only reads: mailbox, node state and store
+                    # are left as they were.
+                    warm = next(iterate_batches(self.graph, self.batch_size))
+                    embeddings = self.model.compute_embeddings(warm)
+                    self.model.link_logits(embeddings.src, embeddings.dst)
                 for index, batch in enumerate(iterate_batches(self.graph, self.batch_size)):
                     if max_batches is not None and index >= max_batches:
                         break

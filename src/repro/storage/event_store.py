@@ -10,7 +10,7 @@ append-only home for the event stream's columns —
 * ``edge_features`` — ``float64`` matrix ``(num_events, edge_feature_dim)``
 
 — shared zero-copy by any number of :class:`~repro.storage.graph_view.GraphView`
-slices and :class:`~repro.graph.temporal_graph.TemporalGraph` façades.
+slices.
 Appends are bulk array writes into pre-sized extents (amortised doubling);
 no per-event Python objects are ever created, which is what lets a 10M-event
 stream build at memcpy speed inside bounded resident memory

@@ -18,8 +18,9 @@ O(new entries), whatever the stream length.
 
 Three view flavours share one class:
 
-* **live view** (``stop=None``) — tracks the store's growth; this is what a
-  :class:`~repro.graph.temporal_graph.TemporalGraph` façade wraps.
+* **live view** (``stop=None``) — tracks the store's growth; an owned graph
+  (``GraphView(EventStore(n, d))``, appended to through ``view.store``) is
+  one.
 * **range view** (``[start, stop)``) — a frozen chronological window, as
   returned by :meth:`GraphView.slice_time` / :meth:`GraphView.slice_events`.
   A range view starting at 0 can follow the writer with
@@ -235,8 +236,8 @@ class GraphView:
     need (``adjacency`` / ``node_events`` / ``degree`` / ``active_nodes`` /
     ``edge_features_for``) plus O(1) re-slicing (:meth:`slice_time`,
     :meth:`slice_events`, :meth:`node_slice`).  Views are read-only; use
-    :meth:`~repro.graph.temporal_graph.TemporalGraph.materialize` (or the
-    store itself) to get an appendable copy.
+    the store (``view.store.append_batch``) to grow a live view, or build a
+    fresh :class:`EventStore` from a view's columns for an appendable copy.
     """
 
     def __init__(self, store, start: int = 0, stop: int | None = None):
@@ -400,8 +401,7 @@ class GraphView:
                     strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(neighbors, edge_ids, timestamps)`` of a node's view history.
 
-        Same contract as the pre-split ``TemporalGraph.node_events``: with
-        ``before``, only strictly-earlier (``strict=True``) or
+        With ``before``, only strictly-earlier (``strict=True``) or
         earlier-or-equal events; ids outside ``[0, num_nodes)`` (sampler
         padding) return empty arrays.
         """

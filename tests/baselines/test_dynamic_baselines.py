@@ -7,8 +7,8 @@ from repro.baselines import TGAT, TGN, DyRep, JODIE, NodeMemory
 from repro.baselines.temporal_attention import TemporalAttentionLayer
 from repro.graph.batching import iterate_batches
 from repro.graph.neighbor_sampler import MostRecentNeighborSampler
-from repro.graph.temporal_graph import TemporalGraph
 from repro.nn.tensor import Tensor, no_grad
+from repro.storage import EventStore, GraphView
 
 DYNAMIC_MODELS = [
     ("jodie", lambda n, d: JODIE(n, d, seed=0)),
@@ -78,9 +78,8 @@ class TestTemporalAttentionLayer:
         assert np.isfinite(out.data).all()
 
     def test_gather_neighbor_inputs(self, rng):
-        graph = TemporalGraph(6, 4)
-        graph.add_interaction(0, 1, 1.0, rng.normal(size=4))
-        graph.add_interaction(0, 2, 2.0, rng.normal(size=4))
+        graph = GraphView(EventStore.from_arrays(
+            [0, 0], [1, 2], [1.0, 2.0], rng.normal(size=(2, 4)), num_nodes=6))
         sampler = MostRecentNeighborSampler(graph, num_neighbors=3)
         layer = TemporalAttentionLayer(node_dim=5, edge_feature_dim=4, time_dim=8,
                                        output_dim=5, rng=rng)

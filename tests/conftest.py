@@ -72,21 +72,23 @@ def event_batch_factory():
 
 @pytest.fixture
 def graph_query_spy(monkeypatch):
-    """Records every temporal-neighbourhood read against any TemporalGraph.
+    """Records every temporal-neighbourhood read against any GraphView.
 
     Returns the list the reads are appended to (by method name): per-node
     history scans (``node_events``) and adjacency-index reads (``adjacency``,
-    ``csr_view``) — the queries a graph database would serve.
+    ``csr_view``) — the queries a graph database would serve.  Every graph
+    is a :class:`GraphView` (owned by a model, or attached by a serving
+    worker), so no read path escapes the spy.
     """
-    from repro.graph.temporal_graph import TemporalGraph
+    from repro.storage import GraphView
 
     calls = []
     for name in ("node_events", "adjacency", "csr_view"):
-        original = getattr(TemporalGraph, name)
+        original = getattr(GraphView, name)
 
         def spy(self, *args, _original=original, _name=name, **kwargs):
             calls.append(_name)
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(TemporalGraph, name, spy)
+        monkeypatch.setattr(GraphView, name, spy)
     return calls

@@ -139,6 +139,37 @@ class TestPolicies:
         # Reservoir sampling keeps some older mails with high probability.
         assert kept.min() < 47.0
 
+    def test_reservoir_is_independent_of_batching(self):
+        """Slot draws are a pure function of (seed, node, delivery index):
+        one batch with duplicates == event by event == any chunking."""
+        rng = np.random.default_rng(0)
+        nodes = rng.integers(0, 5, 300)
+        times = np.arange(300, dtype=np.float64)
+        boxes = [Mailbox(5, 3, 1, update_policy="reservoir", seed=4)
+                 for _ in range(3)]
+        boxes[0].deliver(nodes, times[:, None], times)
+        for i in range(300):
+            boxes[1].deliver(nodes[i:i + 1], times[i:i + 1, None], times[i:i + 1])
+        for start in range(0, 300, 7):
+            boxes[2].deliver(nodes[start:start + 7], times[start:start + 7, None],
+                             times[start:start + 7])
+        for box in boxes[1:]:
+            for key, array in boxes[0].snapshot().items():
+                assert np.array_equal(box.snapshot()[key], array)
+        other = Mailbox(5, 3, 1, update_policy="reservoir", seed=5)
+        other.deliver(nodes, times[:, None], times)
+        assert not np.array_equal(other.mail_times, boxes[0].mail_times)
+
+    def test_unseeded_reservoir_draws_its_seed_once(self):
+        box = Mailbox(2, 2, 1, update_policy="reservoir")
+        assert isinstance(box.seed, int)
+        twin = Mailbox(2, 2, 1, update_policy="reservoir", seed=box.seed)
+        for t in range(20):
+            for target in (box, twin):
+                target.deliver(np.array([0, 1]), np.full((2, 1), float(t)),
+                               np.full(2, float(t)))
+        assert np.array_equal(box.mail_times, twin.mail_times)
+
 
 class TestUtilities:
     def test_reset(self):

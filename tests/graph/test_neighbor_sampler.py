@@ -10,15 +10,15 @@ from repro.graph.neighbor_sampler import (
     UniformNeighborSampler,
     make_sampler,
 )
-from repro.graph.temporal_graph import TemporalGraph
+from repro.storage import EventStore, GraphView
 
 
 def chain_graph(num_events=20):
     """Node 0 interacts with nodes 1..num_events at times 1..num_events."""
-    graph = TemporalGraph(num_nodes=num_events + 1, edge_feature_dim=1)
-    for t in range(1, num_events + 1):
-        graph.add_interaction(0, t, float(t), [float(t)])
-    return graph
+    times = np.arange(1, num_events + 1, dtype=np.float64)
+    return GraphView(EventStore.from_arrays(
+        np.zeros(num_events, dtype=np.int64), np.arange(1, num_events + 1),
+        times, times[:, None], num_nodes=num_events + 1))
 
 
 class TestNeighborSample:
@@ -100,10 +100,8 @@ class TestTimeWeightedSampler:
 
 class TestMultiHop:
     def test_two_hop_expansion(self):
-        graph = TemporalGraph(num_nodes=6, edge_feature_dim=1)
-        graph.add_interaction(1, 2, 1.0, [0.0])
-        graph.add_interaction(2, 3, 2.0, [0.0])
-        graph.add_interaction(0, 1, 3.0, [0.0])
+        graph = GraphView(EventStore.from_arrays(
+            [1, 2, 0], [2, 3, 1], [1.0, 2.0, 3.0], np.zeros((3, 1)), num_nodes=6))
         sampler = MostRecentNeighborSampler(graph, num_neighbors=3)
         hops = sampler.multi_hop(0, time=4.0, num_hops=2)
         assert len(hops) == 2
@@ -129,3 +127,12 @@ class TestFactory:
     def test_factory_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_sampler("nope", chain_graph())
+
+
+class TestGraphQuerySpy:
+    def test_spy_sees_sample_many_over_a_bare_view(self, graph_query_spy):
+        """The spy must see the read path serving workers use, or the
+        zero-read assertions built on it prove nothing."""
+        sampler = MostRecentNeighborSampler(chain_graph(), num_neighbors=3)
+        sampler.sample_many(np.asarray([0, 5]), np.asarray([10.0, 10.0]))
+        assert "adjacency" in graph_query_spy

@@ -6,16 +6,15 @@ import pytest
 from repro.graph.batching import EventBatch, iterate_batches, num_batches
 from repro.graph.snapshots import build_snapshots, snapshot_boundaries
 from repro.graph.static_graph import StaticGraph
-from repro.graph.temporal_graph import TemporalGraph
+from repro.storage import EventStore, GraphView
 
 
 def small_temporal_graph():
-    graph = TemporalGraph(num_nodes=4, edge_feature_dim=2)
-    graph.add_interaction(0, 1, 1.0, [1.0, 0.0])
-    graph.add_interaction(0, 1, 2.0, [3.0, 0.0])   # repeated pair
-    graph.add_interaction(1, 2, 3.0, [0.0, 1.0])
-    graph.add_interaction(2, 3, 4.0, [0.0, 2.0])
-    return graph
+    return GraphView(EventStore.from_arrays(
+        src=[0, 0, 1, 2], dst=[1, 1, 2, 3],   # (0, 1) is a repeated pair
+        timestamps=[1.0, 2.0, 3.0, 4.0],
+        edge_features=[[1.0, 0.0], [3.0, 0.0], [0.0, 1.0], [0.0, 2.0]],
+        num_nodes=4))
 
 
 class TestStaticGraph:
@@ -88,7 +87,7 @@ class TestSnapshots:
             build_snapshots(small_temporal_graph(), 0)
 
     def test_empty_graph_boundaries(self):
-        bounds = snapshot_boundaries(TemporalGraph(2, 1), 2)
+        bounds = snapshot_boundaries(GraphView(EventStore(2, 1)), 2)
         assert len(bounds) == 3
 
 

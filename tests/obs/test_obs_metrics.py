@@ -76,6 +76,23 @@ class TestSingleProcess:
         finally:
             metrics.release()
 
+    def test_observe_buckets_like_searchsorted(self, spec):
+        values = [0.0, -1.0, 1e12, float("inf"), float("nan"),
+                  *spec.hist_bounds[:3], spec.hist_bounds[-1],
+                  *np.random.default_rng(1).lognormal(0.0, 4.0, 200)]
+        metrics = SharedMetrics.create(spec, num_writers=1)
+        try:
+            for v in values:
+                metrics.observe("latency_ms", float(v))
+            buckets = np.searchsorted(np.asarray(spec.hist_bounds),
+                                      np.asarray(values, dtype=np.float64),
+                                      side="left")
+            expected = np.bincount(buckets, minlength=len(spec.hist_bounds) + 1)
+            counts = metrics._bundle["hist_counts"][0, 0]
+            assert counts.tolist() == expected.astype(np.float64).tolist()
+        finally:
+            metrics.release()
+
     def test_snapshot_shape(self, spec):
         metrics = SharedMetrics.create(spec, num_writers=1)
         try:

@@ -52,6 +52,28 @@ class TestRing:
         assert len(drops) == 1
         assert drops[0]["args"]["dropped_records"] == 2
 
+    @pytest.mark.parametrize("writes", [(3, 2), (11, 0), (0, 0)])
+    def test_release_keeps_every_record(self, writes):
+        """The private copy holds only the rows written, and reads alike."""
+        ring = TraceRing.create(("a", "b"), num_writers=2, capacity=8)
+        other = TraceRing.attach(ring.handle(), writer=1)
+        for i in range(writes[0]):
+            ring.record(KIND_SPAN, 0, float(i), 1.0, float(i))
+        for i in range(writes[1]):
+            other.record(KIND_MARK, 1, float(i) + 0.5, 0.0, float("nan"))
+        other.release()
+        shared = [ring.records(w) for w in (0, 1)]
+        dropped = [ring.dropped(w) for w in (0, 1)]
+        events = chrome_trace_events(ring)
+        ring.release()
+        assert not ring.is_shared
+        for w in (0, 1):
+            assert np.array_equal(ring.records(w), shared[w], equal_nan=True)
+            assert ring.dropped(w) == dropped[w]
+        assert chrome_trace_events(ring) == events
+        ring.record(KIND_SPAN, 0, 99.0, 1.0, 0.0)  # still writable
+        assert ring.records(0)[-1, 2] == 99.0
+
     def test_cross_process_rings_share_epoch(self, ring):
         handle = ring.handle()
 

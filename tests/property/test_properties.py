@@ -7,9 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.mailbox import Mailbox
 from repro.eval.metrics import average_precision, roc_auc
-from repro.graph.temporal_graph import TemporalGraph
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.storage import EventStore, GraphView
 
 SMALL_FLOATS = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)
@@ -228,14 +228,20 @@ class TestMailboxProperties:
                 assert np.all(np.diff(times[row][valid[row]]) >= 0)
 
 
-class TestTemporalGraphProperties:
+def view_of_pairs(pairs, num_nodes: int) -> GraphView:
+    """One event per ``(u, v)`` pair at times 0, 1, 2, ..."""
+    u, v = np.asarray(pairs, dtype=np.int64).T
+    return GraphView(EventStore.from_arrays(
+        u, v, np.arange(len(pairs), dtype=np.float64),
+        np.zeros((len(pairs), 1)), num_nodes=num_nodes))
+
+
+class TestGraphViewProperties:
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                     min_size=1, max_size=50))
     @settings(max_examples=40, deadline=None)
     def test_degree_sum_equals_twice_events(self, pairs):
-        graph = TemporalGraph(8, 1)
-        for index, (u, v) in enumerate(pairs):
-            graph.add_interaction(u, v, float(index), [0.0])
+        graph = view_of_pairs(pairs, 8)
         total_degree = sum(graph.degree(node) for node in range(8))
         assert total_degree == 2 * graph.num_events
 
@@ -244,9 +250,7 @@ class TestTemporalGraphProperties:
            st.floats(0.0, 30.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_node_events_before_cut_are_strictly_earlier(self, pairs, cut):
-        graph = TemporalGraph(6, 1)
-        for index, (u, v) in enumerate(pairs):
-            graph.add_interaction(u, v, float(index), [0.0])
+        graph = view_of_pairs(pairs, 6)
         for node in range(6):
             _, _, times = graph.node_events(node, before=cut)
             assert np.all(times < cut)

@@ -56,9 +56,10 @@ def make_sized_stream(sizes, seed=2000):
     return batches
 
 
-def sequential_reference(batches, update_policy="fifo"):
+def sequential_reference(batches, update_policy="fifo", mailbox_seed=7):
     """Single-process ground truth: propagate every batch in order."""
-    mailbox = Mailbox(NUM_NODES, SLOTS, DIM, update_policy=update_policy)
+    mailbox = Mailbox(NUM_NODES, SLOTS, DIM, update_policy=update_policy,
+                      seed=mailbox_seed)
     propagator = MailPropagator(mailbox, NUM_NODES, DIM,
                                 num_hops=2, num_neighbors=5, seed=3)
     for batch, src_emb, dst_emb in batches:
@@ -66,8 +67,10 @@ def sequential_reference(batches, update_policy="fifo"):
     return mailbox
 
 
-def run_through_runtime(batches, config, update_policy="fifo", spec=None):
-    mailbox = Mailbox(NUM_NODES, SLOTS, DIM, update_policy=update_policy)
+def run_through_runtime(batches, config, update_policy="fifo", spec=None,
+                        mailbox=None):
+    mailbox = mailbox or Mailbox(NUM_NODES, SLOTS, DIM,
+                                 update_policy=update_policy, seed=7)
     spec = spec or PropagatorSpec(NUM_NODES, DIM,
                                   dict(num_hops=2, num_neighbors=5, seed=3))
     runtime = ServingRuntime(mailbox, spec, config)
@@ -116,6 +119,10 @@ class TestEquivalence:
         (3, "newest_overwrite", 4),
         (4, "fifo", 8),
         (2, "fifo", 1),
+        # Reservoir slot draws are a pure function of (seed, node, delivery
+        # index), so worker mailboxes draw what sequential delivery draws.
+        (1, "reservoir", 4),
+        (2, "reservoir", 4),
     ])
     def test_pool_shape_matches_sequential(self, num_workers, update_policy,
                                            max_backlog):
@@ -127,6 +134,21 @@ class TestEquivalence:
             update_policy=update_policy)
         assert_mailboxes_equal(reference, delivered)
         assert backlog_seen <= max_backlog
+
+    def test_unseeded_reservoir_mailbox_matches_its_workers(self):
+        """``seed=None`` draws its entropy once, and the handle carries it."""
+        batches = make_stream(num_events=1_000, batch_size=100)
+        pooled = Mailbox(NUM_NODES, SLOTS, DIM, update_policy="reservoir")
+        sequential = Mailbox(NUM_NODES, SLOTS, DIM, update_policy="reservoir",
+                             seed=pooled.seed)
+        propagator = MailPropagator(sequential, NUM_NODES, DIM, num_hops=2,
+                                    num_neighbors=5, seed=3)
+        for batch, src_emb, dst_emb in batches:
+            propagator.propagate(batch, src_emb, dst_emb)
+        delivered, _ = run_through_runtime(
+            batches, RuntimeConfig(num_workers=2, max_backlog=4),
+            mailbox=pooled)
+        assert_mailboxes_equal(sequential, delivered)
 
     @pytest.mark.parametrize("randomised", [dict(sampling="uniform"),
                                             dict(phi="concat_project")])
@@ -501,6 +523,21 @@ class TestServiceIntegration:
         assert report.max_backlog >= 1
         assert report.mean_staleness_ms >= 0.0
         assert report.max_staleness_ms >= report.mean_staleness_ms
+
+    def test_worker_pool_warm_up_pass_changes_no_state(self, apan, tiny_graph):
+        """The untimed decision pass after start() only reads the model."""
+        loop = ServingLoop(apan, tiny_graph, batch_size=50)
+        apan.reset_state()
+        before = apan.state_snapshot()
+        report = loop.run(max_batches=0, mode="worker-pool",
+                          runtime_config=RuntimeConfig(num_workers=1,
+                                                       max_backlog=4))
+        assert report.num_decisions == 0
+        after = apan.state_snapshot()
+        assert set(after) == set(before)
+        for name, array in before.items():
+            assert np.array_equal(array, after[name]), name
+        assert apan.propagator.graph.num_events == 0
 
     def test_unknown_mode_rejected(self, apan, tiny_graph):
         loop = ServingLoop(apan, tiny_graph, batch_size=50)

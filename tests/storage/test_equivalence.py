@@ -1,10 +1,13 @@
-"""Pins the storage subsystem bit-equal to the pre-split TemporalGraph.
+"""Pins the storage subsystem against independently-built stores.
 
-The façade contract: a TemporalGraph built through EventStore/GraphView must
-answer every query — appends, CSR adjacency, node histories, slicing,
-neighbour sampling — exactly as the pre-split monolith did.  The reference
-here is recomputed from first principles (brute-force per-node chronological
-adjacency), which is what the monolith's fold was proven against.
+Every way of building an :class:`EventStore` — per-event appends, one bulk
+load, arbitrary chunking, an mmap backing — must give byte-equal columns and
+a byte-equal :class:`GraphView` adjacency; every slice of a view must answer
+exactly like a store rebuilt from the same events; and a neighbour sampler
+over a view must sample exactly what it samples over such a rebuilt store.
+The adjacency reference is recomputed from first principles by the
+incremental fold itself, which ``tests/storage/test_graph_view.py`` pins to a
+brute-force per-node chronological build.
 """
 
 import multiprocessing as mp
@@ -13,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.graph.neighbor_sampler import make_sampler
-from repro.graph.temporal_graph import TemporalGraph
 from repro.storage import EventStore, GraphView
 
 
@@ -27,7 +29,13 @@ def make_stream(n=250, num_nodes=30, dim=4, seed=5):
     return src, dst, ts, ef, lab, num_nodes
 
 
-def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> None:
+def rebuilt(src, dst, ts, ef, lab, num_nodes) -> GraphView:
+    """A fresh in-memory store over exactly these events, bulk-loaded."""
+    return GraphView(EventStore.from_arrays(src, dst, ts, ef, lab,
+                                            num_nodes=num_nodes))
+
+
+def views_equal(a: GraphView, b: GraphView) -> None:
     assert a.num_events == b.num_events
     assert np.array_equal(a.src, b.src)
     assert np.array_equal(a.dst, b.dst)
@@ -41,135 +49,112 @@ def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> None:
 class TestConstructionPaths:
     def test_per_event_equals_bulk(self):
         src, dst, ts, ef, lab, num_nodes = make_stream(120)
-        bulk = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                         num_nodes=num_nodes)
-        incremental = TemporalGraph(num_nodes, ef.shape[1])
+        incremental = GraphView(EventStore(num_nodes, ef.shape[1]))
         for i in range(len(src)):
-            edge_id = incremental.add_interaction(int(src[i]), int(dst[i]),
-                                                  float(ts[i]), ef[i],
-                                                  float(lab[i]))
-            assert edge_id == i
-        graphs_equal(incremental, bulk)
+            edge_ids = incremental.store.append_batch(
+                src[i:i + 1], dst[i:i + 1], ts[i:i + 1], ef[i:i + 1],
+                lab[i:i + 1])
+            assert edge_ids.tolist() == [i]
+            # Fold after every event, as a per-event consumer would.
+            incremental.adjacency()
+        views_equal(incremental, rebuilt(src, dst, ts, ef, lab, num_nodes))
 
     def test_chunked_equals_bulk(self):
         src, dst, ts, ef, lab, num_nodes = make_stream()
-        bulk = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                         num_nodes=num_nodes)
-        chunked = TemporalGraph(num_nodes, ef.shape[1])
+        chunked = GraphView(EventStore(num_nodes, ef.shape[1]))
         for start in range(0, len(src), 37):
             stop = min(start + 37, len(src))
-            chunked.add_interactions(src[start:stop], dst[start:stop],
-                                     ts[start:stop], ef[start:stop],
-                                     lab[start:stop])
-        graphs_equal(chunked, bulk)
+            chunked.store.append_batch(src[start:stop], dst[start:stop],
+                                       ts[start:stop], ef[start:stop],
+                                       lab[start:stop])
+            chunked.adjacency()
+        views_equal(chunked, rebuilt(src, dst, ts, ef, lab, num_nodes))
 
     def test_mmap_store_equals_memory_store(self, tmp_path):
         src, dst, ts, ef, lab, num_nodes = make_stream()
-        memory = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                           num_nodes=num_nodes)
         store = EventStore.create_mmap(tmp_path / "events",
                                        num_nodes=num_nodes,
                                        edge_feature_dim=ef.shape[1])
         store.append_batch(src, dst, ts, ef, lab)
-        mmapped = TemporalGraph.from_store(store)
-        graphs_equal(mmapped, memory)
+        views_equal(GraphView(store), rebuilt(src, dst, ts, ef, lab, num_nodes))
+        store.close()
 
 
-class TestLegacyErrorContract:
+class TestErrorContract:
     def test_single_event_errors(self):
-        graph = TemporalGraph(5, 2)
-        graph.add_interaction(0, 1, 5.0, np.zeros(2))
+        store = EventStore(5, 2)
+        store.append_batch([0], [1], [5.0], np.zeros((1, 2)))
         with pytest.raises(ValueError, match="chronological order"):
-            graph.add_interaction(0, 1, 4.0, np.zeros(2))
+            store.append_batch([0], [1], [4.0], np.zeros((1, 2)))
         with pytest.raises(IndexError, match="node id out of range"):
-            graph.add_interaction(0, 5, 6.0, np.zeros(2))
+            store.append_batch([0], [5], [6.0], np.zeros((1, 2)))
         with pytest.raises(ValueError, match="edge feature dim mismatch"):
-            graph.add_interaction(0, 1, 6.0, np.zeros(3))
-
-    def test_interaction_accessors(self):
-        src, dst, ts, ef, lab, num_nodes = make_stream(20)
-        graph = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                          num_nodes=num_nodes)
-        event = graph.interaction(7)
-        assert event.src == src[7] and event.dst == dst[7]
-        assert event.timestamp == ts[7]
-        assert np.array_equal(event.edge_feature, ef[7])
-        rev = event.reversed()
-        assert rev.src == dst[7] and rev.dst == src[7]
-        with pytest.raises(IndexError):
-            graph.interaction(20)
-        assert len(list(graph.interactions(5, 10))) == 5
+            store.append_batch([0], [1], [6.0], np.zeros((1, 3)))
+        assert store.num_events == 1  # a rejected block appends nothing
 
 
 class TestSlicingEquivalence:
-    """Slices answer like independently-built graphs over the same events."""
+    """Slices answer like stores rebuilt from the same events."""
 
-    def test_slice_by_time_matches_rebuilt(self):
+    def test_slice_time_matches_rebuilt(self):
         src, dst, ts, ef, lab, num_nodes = make_stream()
-        graph = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                          num_nodes=num_nodes)
+        view = rebuilt(src, dst, ts, ef, lab, num_nodes)
         t0, t1 = 20.0, 60.0
-        sliced = graph.slice_by_time(t0, t1)
         mask = (ts >= t0) & (ts < t1)
-        rebuilt = TemporalGraph.from_arrays(src[mask], dst[mask], ts[mask],
-                                            ef[mask], lab[mask],
-                                            num_nodes=num_nodes)
-        graphs_equal(sliced, rebuilt)
+        views_equal(view.slice_time(t0, t1),
+                    rebuilt(src[mask], dst[mask], ts[mask], ef[mask],
+                            lab[mask], num_nodes))
 
-    def test_slice_by_index_matches_rebuilt(self):
+    def test_slice_events_matches_rebuilt(self):
         src, dst, ts, ef, lab, num_nodes = make_stream()
-        graph = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                          num_nodes=num_nodes)
-        sliced = graph.slice_by_index(40, 180)
-        rebuilt = TemporalGraph.from_arrays(src[40:180], dst[40:180],
-                                            ts[40:180], ef[40:180],
-                                            lab[40:180], num_nodes=num_nodes)
-        graphs_equal(sliced, rebuilt)
+        view = rebuilt(src, dst, ts, ef, lab, num_nodes)
+        views_equal(view.slice_events(40, 180),
+                    rebuilt(src[40:180], dst[40:180], ts[40:180], ef[40:180],
+                            lab[40:180], num_nodes))
 
     def test_node_slice_matches_rebuilt(self):
         src, dst, ts, ef, lab, num_nodes = make_stream()
-        graph = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                          num_nodes=num_nodes)
+        view = rebuilt(src, dst, ts, ef, lab, num_nodes)
         nodes = np.asarray([1, 4, 9])
-        sliced = graph.node_slice(nodes)
         mask = np.isin(src, nodes) | np.isin(dst, nodes)
-        rebuilt = TemporalGraph.from_arrays(src[mask], dst[mask], ts[mask],
-                                            ef[mask], lab[mask],
-                                            num_nodes=num_nodes)
-        graphs_equal(sliced, rebuilt)
+        views_equal(view.node_slice(nodes),
+                    rebuilt(src[mask], dst[mask], ts[mask], ef[mask],
+                            lab[mask], num_nodes))
 
 
 class TestSamplingEquivalence:
-    """Samplers answer identically over façade, views and prefix extension."""
+    """Samplers answer identically over views and over rebuilt stores."""
 
     @pytest.mark.parametrize("strategy", ["recent", "uniform", "time_weighted"])
-    def test_sampler_over_view_matches_facade(self, strategy):
+    @pytest.mark.parametrize("window", [(0, 250), (40, 180)])
+    def test_sampler_over_view_matches_rebuilt(self, strategy, window):
         src, dst, ts, ef, lab, num_nodes = make_stream(seed=9)
-        graph = TemporalGraph.from_arrays(src, dst, ts, ef, lab,
-                                          num_nodes=num_nodes)
-        view = GraphView(graph.store)
+        lo, hi = window
+        view = rebuilt(src, dst, ts, ef, lab, num_nodes).slice_events(lo, hi)
+        reference = rebuilt(src[lo:hi], dst[lo:hi], ts[lo:hi], ef[lo:hi],
+                            lab[lo:hi], num_nodes)
         rng = np.random.default_rng(0)
         nodes = rng.integers(0, num_nodes, 25)
         times = rng.uniform(0.0, 80.0, 25)
-        a = make_sampler(strategy, graph, num_neighbors=5, seed=7,
+        a = make_sampler(strategy, view, num_neighbors=5, seed=7,
                          stateless=True).sample_many(nodes, times)
-        b = make_sampler(strategy, view, num_neighbors=5, seed=7,
+        b = make_sampler(strategy, reference, num_neighbors=5, seed=7,
                          stateless=True).sample_many(nodes, times)
         assert np.array_equal(a.neighbors, b.neighbors)
         assert np.array_equal(a.edge_ids, b.edge_ids)
         assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.array_equal(a.mask, b.mask)
 
     def test_extended_prefix_view_matches_full_build(self):
-        """The serving worker read path: extend_to(n) == graph built from n events."""
+        """The serving worker read path: extend_to(n) == a store built from n events."""
         src, dst, ts, ef, lab, num_nodes = make_stream(seed=13)
         store = EventStore.from_arrays(src, dst, ts, ef, lab,
                                        num_nodes=num_nodes)
         view = GraphView(store, 0, 0)
         for prefix in (50, 120, 250):
             view.extend_to(prefix)
-            reference = TemporalGraph.from_arrays(
-                src[:prefix], dst[:prefix], ts[:prefix], ef[:prefix],
-                lab[:prefix], num_nodes=num_nodes)
+            reference = rebuilt(src[:prefix], dst[:prefix], ts[:prefix],
+                                ef[:prefix], lab[:prefix], num_nodes)
             for got, want in zip(view.csr_view(), reference.csr_view()):
                 assert np.array_equal(got, want)
 

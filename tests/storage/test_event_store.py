@@ -23,6 +23,12 @@ def make_events(n, num_nodes=20, dim=4, seed=0):
 
 
 class TestMemoryStore:
+    def test_rejects_invalid_geometry(self):
+        with pytest.raises(ValueError):
+            EventStore(0, 3)
+        with pytest.raises(ValueError):
+            EventStore(3, -1)
+
     def test_append_and_read_back(self):
         src, dst, ts, ef, lab = make_events(50)
         store = EventStore(20, 4)
@@ -59,6 +65,12 @@ class TestMemoryStore:
         store = EventStore.from_arrays(src, dst, ts, ef, lab)
         assert store.num_nodes == int(max(src.max(), dst.max())) + 1
         assert np.array_equal(store.src, src)
+
+    def test_from_arrays_rejects_unsorted_and_ragged_input(self):
+        with pytest.raises(ValueError, match="sorted by timestamp"):
+            EventStore.from_arrays([0, 1], [1, 0], [2.0, 1.0], np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="equal length"):
+            EventStore.from_arrays([0], [1, 0], [1.0, 2.0], np.zeros((2, 1)))
 
     def test_chronological_order_enforced(self):
         store = EventStore(5, 0)

@@ -18,6 +18,15 @@ def make_store(n=100, num_nodes=20, dim=3, seed=1):
     return store
 
 
+def build_simple_view() -> GraphView:
+    """Four events on five nodes, one repeated pair, appended one by one."""
+    view = GraphView(EventStore(num_nodes=5, edge_feature_dim=3))
+    for src, dst, t, feature in ((0, 1, 1.0, [1, 0, 0]), (1, 2, 2.0, [0, 1, 0]),
+                                 (0, 2, 3.0, [0, 0, 1]), (0, 1, 4.0, [1, 1, 0])):
+        view.store.append_batch([src], [dst], [t], [feature])
+    return view
+
+
 def brute_force_csr(src, dst, timestamps, num_nodes):
     """Per-node chronological adjacency, src entry before dst entry per event."""
     adj = [[] for _ in range(num_nodes)]
@@ -243,3 +252,96 @@ class TestLiveAndExtend:
         with pytest.raises(RuntimeError):
             picked.extend_to(10)
 
+
+
+class TestSimpleGraph:
+    """Exact answers on a hand-checkable multigraph."""
+
+    def test_degree_counts_both_directions(self):
+        view = build_simple_view()
+        assert [view.degree(node) for node in range(5)] == [3, 3, 2, 0, 0]
+
+    def test_degree_before_time(self):
+        view = build_simple_view()
+        assert view.degree(0, before=3.0) == 1
+        assert view.degree(0, before=3.5) == 2
+
+    def test_node_events_strict_and_inclusive(self):
+        view = build_simple_view()
+        neighbors, edge_ids, times = view.node_events(0, before=3.0, strict=True)
+        assert neighbors.tolist() == [1]
+        assert edge_ids.tolist() == [0]
+        assert times.tolist() == [1.0]
+        neighbors, edge_ids, _ = view.node_events(0, before=3.0, strict=False)
+        assert neighbors.tolist() == [1, 2]
+        assert edge_ids.tolist() == [0, 2]
+
+    def test_in_range_node_without_events_is_empty(self):
+        neighbors, edge_ids, times = build_simple_view().node_events(4)
+        assert len(neighbors) == len(edge_ids) == len(times) == 0
+
+    def test_out_of_range_ids_have_no_history(self):
+        """-1 (the samplers' padding sentinel) and >= num_nodes are empty."""
+        view = build_simple_view()
+        for node in (-1, view.num_nodes, view.num_nodes + 7):
+            assert view.degree(node) == 0
+            neighbors, edge_ids, times = view.node_events(node)
+            assert len(neighbors) == len(edge_ids) == len(times) == 0
+
+    def test_events_are_chronological_per_node(self):
+        view = build_simple_view()
+        for node in range(view.num_nodes):
+            _, edge_ids, times = view.node_events(node)
+            assert np.all(np.diff(times) >= 0)
+            assert np.all(np.diff(edge_ids) > 0)
+
+    def test_multigraph_keeps_repeated_pairs(self):
+        neighbors, edge_ids, _ = build_simple_view().node_events(0)
+        assert neighbors.tolist() == [1, 2, 1]
+        assert edge_ids.tolist() == [0, 2, 3]
+
+    def test_single_and_bulk_appends_interleave(self):
+        """One-event and multi-event blocks fold into one live index."""
+        view = GraphView(EventStore(num_nodes=6, edge_feature_dim=1))
+        view.store.append_batch([0, 1], [1, 2], [1.0, 2.0], np.zeros((2, 1)))
+        assert view.degree(1) == 2
+        view.store.append_batch([2], [3], [3.0], [[0.0]])
+        ids = view.store.append_batch([3, 0], [4, 1], [4.0, 5.0],
+                                      np.zeros((2, 1)))
+        assert ids.tolist() == [3, 4]
+        neighbors, _, times = view.node_events(3)
+        assert neighbors.tolist() == [2, 4]
+        assert times.tolist() == [3.0, 4.0]
+        assert view.num_events == 5
+        assert view.node_events(0)[0].tolist() == [1, 1]
+
+    def test_slices_share_every_column_with_the_store(self):
+        view = build_simple_view()
+        store = view.store
+        for sliced in (view.slice_time(2.0, 4.0), view.slice_events(1, 3)):
+            assert sliced.num_events == 2
+            for name in ("src", "dst", "timestamps", "edge_features", "labels"):
+                assert np.shares_memory(getattr(sliced, name),
+                                        getattr(store, name))
+
+    def test_slice_keeps_labels_and_features(self):
+        view = GraphView(EventStore(3, 1))
+        view.store.append_batch([0, 1], [1, 2], [1.0, 2.0], [[0.5], [0.7]],
+                                labels=[1.0, 0.0])
+        sliced = view.slice_events(0, 1)
+        assert sliced.labels.tolist() == [1.0]
+        assert sliced.edge_features.tolist() == [[0.5]]
+
+    def test_slices_stay_frozen_while_the_store_grows(self):
+        view = build_simple_view()
+        sliced = view.slice_time(1.0, 3.0)
+        view.store.append_batch([2], [3], [5.0], [[1, 1, 1]])
+        assert view.num_events == 5
+        assert sliced.num_events == 2
+        assert sliced.timestamps.tolist() == [1.0, 2.0]
+
+    def test_nested_slices_share_root_storage(self):
+        view = build_simple_view()
+        nested = view.slice_events(0, 3).slice_events(1, 3)
+        assert np.shares_memory(nested.timestamps, view.store.timestamps)
+        assert nested.timestamps.tolist() == [2.0, 3.0]

@@ -9,12 +9,16 @@ function, constant or attribute) against the installed package, and every
 backticked ``Name.attr`` token whose ``Name`` the package or one of its
 subpackages exports (``APANConfig.seed``, ``Mailbox.share_memory()``), so
 the documented API surface — fields and methods included — cannot silently
-drift from the code.
+drift from the code.  Every backticked class-like ``CamelCase`` token must
+also name a class defined under ``src/repro`` (or a builtin, a repo file or
+an allowlisted outside class), so a deleted class cannot linger in prose.
 CI runs this as a dedicated step (see ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
 
+import ast
+import builtins
 import dataclasses
 import importlib
 import pkgutil
@@ -179,6 +183,48 @@ def test_all_documented_members_resolve(doc):
     assert not broken, (
         f"{doc.relative_to(REPO_ROOT)} documents fields or methods that do "
         f"not exist: {sorted(set(broken))}"
+    )
+
+
+# Backticked class-like tokens: a capitalised identifier with a lower-case
+# letter (``GraphView``, ``APANConfig``, ``Makefile``), optionally followed
+# by ``.attr`` and/or a call (``EventStore(n,`` splits off ``d)``).
+_CLASS_LIKE = re.compile(r"^([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.\w+)*(?:\(.*)?$")
+# Classes of other projects the docs name on purpose.
+_OUTSIDE_CLASSES = {"TimeDeltaDG"}  # openDG's time-granularity type
+
+
+def _package_classes() -> set[str]:
+    """Names of every class defined anywhere under ``src/repro``."""
+    classes: set[str] = set()
+    for source in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+    return classes
+
+
+def extract_class_names(doc: Path) -> list[str]:
+    """The leading name of every backticked class-like token in one document."""
+    names: list[str] = []
+    for code in _CODE.findall(doc.read_text()):
+        for token in code.split():
+            match = _CLASS_LIKE.match(token)
+            if match:
+                names.append(match.group(1))
+    return names
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_all_documented_classes_exist(doc):
+    """Backticked class names must be package classes (drift audit)."""
+    classes = _package_classes()
+    broken = [name for name in extract_class_names(doc)
+              if name not in classes and name not in _OUTSIDE_CLASSES
+              and not hasattr(builtins, name) and not (REPO_ROOT / name).exists()]
+    assert not broken, (
+        f"{doc.relative_to(REPO_ROOT)} names classes that are not defined "
+        f"under src/repro: {sorted(set(broken))}"
     )
 
 
